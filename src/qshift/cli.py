@@ -60,7 +60,7 @@ def cmd_construct(args) -> int:
     stream = stream_from_obj(read_json_file(_resolve_spec(args.stream)))
     trace = run_shift_construction(stream, args.steps)
     write_json_file(args.out, trace_to_obj(trace, stream))
-    report = verify_shift_trace(trace, stream, jobs=args.jobs)
+    report = verify_shift_trace(trace, stream)
     if not report.passed:
         for check in report.failures:
             _emit(check.to_json_obj(), sys.stderr)
@@ -78,7 +78,7 @@ def cmd_verify(args) -> int:
                detail="trace header matches the supplied stream")
     report.add("step-count", recorded_n == len(trace.steps) - 1,
                detail="trace header matches the step list")
-    report.extend(verify_shift_trace(trace, stream, jobs=args.jobs))
+    report.extend(verify_shift_trace(trace, stream))
     _print_report(report, "verify")
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -131,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True, help="stream spec JSON file")
     p.add_argument("--steps", type=int, required=True, help="last step index")
     p.add_argument("--out", required=True, help="trace output path")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; ignored")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a trace file")
     p.add_argument("--stream", required=True, help="stream spec JSON file")
     p.add_argument("--out", required=True, help="trace file to verify")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("theorem", help="check a theorem instance file")

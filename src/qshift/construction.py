@@ -20,7 +20,6 @@ membership oracles.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Sequence, Tuple
 
 from .ndsets import EMPTY_NDSET, NDSet
@@ -278,14 +277,16 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream,
     fixes its shifted set pointwise, and every shifted set is
     closure-disjoint from every recorded closed gap.  All checks go
     through membership oracles; nothing from the construction's internal
-    choices is trusted.
+    choices is trusted.  ``jobs`` is accepted for compatibility and
+    ignored: the replay is sequential.
     """
     report = Report()
     sigma = PLMap.identity()
     shifted: List[NDSet] = []
+    chained = True
     for step in trace.steps:
         n = step.n
-        report.add("step-index", n == len(shifted), n)
+        chained &= report.add("step-index", n == len(shifted), n)
         derived = stream.level(n).image(sigma)
         shifted.append(derived)
         report.add("shifted-matches", derived == step.shifted, n)
@@ -294,29 +295,31 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream,
         report.add("gap-in-interval",
                    step.interval.contains_open(step.gap), n)
         moved = fix_violation(step.pi, derived)
-        report.add("fixes-shifted", moved is None, n,
-                   detail="pi_n in Fix(shifted_n)" if moved is None
-                   else f"pi_n moves {rat_str(moved)}")
+        chained &= report.add("fixes-shifted", moved is None, n,
+                              detail="pi_n in Fix(shifted_n)" if moved is None
+                              else f"pi_n moves {rat_str(moved)}")
         sigma = step.pi.compose(sigma)
         report.add("sigma-telescoping", sigma == step.sigma_next, n)
 
-    gaps = [step.gap for step in trace.steps]
-
-    def disjoint(task):
-        m, k = task
-        w = shifted[m].closure_meets_closed(gaps[k].lower, gaps[k].upper)
-        return (m, k, w)
-
-    tasks = [(m, k) for m in range(len(shifted)) for k in range(len(gaps))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(disjoint, tasks))
-    else:
-        results = [disjoint(t) for t in tasks]
-    for m, k, w in results:
-        report.add("gap-disjoint", w is None, m,
-                   detail=f"J_{k}" if w is None
-                   else f"J_{k} contains {rat_str(w)}")
+    # witnesses[k][m]: closure point of shifted_m in [a_k, b_k], or None.
+    # When every step index is right and every pi_m fixes shifted_m, the
+    # replayed sets increase (shifted_{m+1} contains
+    # sigma_{m+1}(E_m) = pi_m(shifted_m) = shifted_m), so one query
+    # against the last set clears gap k for every m; a hit, or any earlier
+    # failure, falls back to querying each set.
+    witnesses = []
+    for step in trace.steps:
+        a, b = step.gap.lower, step.gap.upper
+        if chained and shifted[-1].closure_meets_closed(a, b) is None:
+            witnesses.append([None] * len(shifted))
+        else:
+            witnesses.append([s.closure_meets_closed(a, b) for s in shifted])
+    for m in range(len(shifted)):
+        for k, row in enumerate(witnesses):
+            w = row[m]
+            report.add("gap-disjoint", w is None, m,
+                       detail=f"J_{k}" if w is None
+                       else f"J_{k} contains {rat_str(w)}")
     return report
 
 

@@ -12,6 +12,7 @@ deterministically.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Iterable, List, Optional, Tuple
 
@@ -68,10 +69,12 @@ class GeomTail:
     """Geometric term sequence limit + coeff * ratio**k, k >= 0.
 
     A nonzero head_drop passed to the constructor is folded into the
-    coefficient, so stored tails always start at exponent 0.
+    coefficient, so stored tails always start at exponent 0.  The closed
+    hull [lo, hi] spans the limit and the head term; the closure lies
+    inside it.
     """
 
-    __slots__ = ("limit", "coeff", "ratio")
+    __slots__ = ("limit", "coeff", "ratio", "lo", "hi")
 
     def __init__(self, limit, coeff, ratio, head_drop: int = 0):
         limit, coeff, ratio = rat(limit), rat(coeff), rat(ratio)
@@ -86,6 +89,9 @@ class GeomTail:
         object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ratio", ratio)
+        head = limit + coeff
+        object.__setattr__(self, "lo", min(limit, head))
+        object.__setattr__(self, "hi", max(limit, head))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeomTail is immutable")
@@ -107,6 +113,8 @@ class GeomTail:
         return self.limit + self.coeff * self.ratio ** k
 
     def contains(self, q: Q) -> bool:
+        if q < self.lo or q > self.hi:
+            return False
         t = (q - self.limit) / self.coeff
         if t <= 0:
             return False
@@ -166,6 +174,8 @@ class GeomTail:
 
     def closure_meets_closed(self, a: Q, b: Q) -> Optional[Q]:
         """Some closure point of the tail in [a, b], or None."""
+        if b < self.lo or a > self.hi:
+            return None
         if a <= self.limit <= b:
             return self.limit
         if self.coeff > 0:
@@ -231,22 +241,36 @@ class NDSet:
     __slots__ = ("points", "tails")
 
     def __init__(self, points: Iterable = (), tails: Iterable[GeomTail] = ()):
-        pts = {rat(p) for p in points}
-        # extend each tail backwards through points it abuts, so equal
-        # sets get equal presentations no matter how they were assembled
-        extended = []
-        for t in sorted(set(tails), key=GeomTail._key):
+        given = {rat(p) for p in points}
+        tails = set(tails)
+        # extend each tail backwards through the members of the set it
+        # abuts, so equal sets get equal presentations no matter how they
+        # were assembled; the members tested are the given points and the
+        # given tails' terms, which no extension changes, so the result
+        # does not depend on the order the tails are taken in (the inline
+        # hull test spares a call per tail and step, most of them misses)
+        extended = set()
+        for t in tails:
             coeff = t.coeff
             prev = t.limit + coeff / t.ratio
-            while prev in pts:
-                pts.discard(prev)
+            while prev in given or any(s.lo <= prev <= s.hi and s.contains(prev)
+                                       for s in tails):
                 coeff = coeff / t.ratio
                 prev = t.limit + coeff / t.ratio
-            extended.append(GeomTail(t.limit, coeff, t.ratio))
-        tl = sorted(set(extended), key=GeomTail._key)
-        pts = {p for p in pts if not any(t.contains(p) for t in tl)}
-        object.__setattr__(self, "points", tuple(sorted(pts)))
-        object.__setattr__(self, "tails", tuple(tl))
+            extended.add(t if coeff == t.coeff
+                         else GeomTail(t.limit, coeff, t.ratio))
+        tl = tuple(sorted(extended, key=GeomTail._key))
+        pts = sorted(given)
+        # drop the points a tail holds, including those absorbed above;
+        # a point is tested only against the tails whose hull contains it
+        covered = set()
+        for t in tl:
+            for p in pts[bisect_left(pts, t.lo):bisect_right(pts, t.hi)]:
+                if t.contains(p):
+                    covered.add(p)
+        object.__setattr__(self, "points",
+                           tuple(p for p in pts if p not in covered))
+        object.__setattr__(self, "tails", tl)
 
     def __setattr__(self, name, value):
         raise AttributeError("NDSet is immutable")
@@ -276,7 +300,11 @@ class NDSet:
 
     def contains(self, q) -> bool:
         q = rat(q)
-        return q in self.points or any(t.contains(q) for t in self.tails)
+        pts = self.points
+        i = bisect_left(pts, q)
+        if i < len(pts) and pts[i] == q:
+            return True
+        return any(t.contains(q) for t in self.tails)
 
     def closure_contains(self, q) -> bool:
         q = rat(q)
@@ -305,9 +333,10 @@ class NDSet:
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError("interval endpoints out of order")
-        for p in self.points:
-            if a <= p <= b:
-                return p
+        pts = self.points
+        i = bisect_left(pts, a)
+        if i < len(pts) and pts[i] <= b:
+            return pts[i]
         for t in self.tails:
             w = t.closure_meets_closed(a, b)
             if w is not None:
@@ -319,10 +348,8 @@ class NDSet:
         q = rat(q)
         if self.closure_contains(q):
             raise ValueError("query point lies in the closure")
-        best: Optional[Q] = None
-        for p in self.points:
-            if p < q and (best is None or p > best):
-                best = p
+        i = bisect_left(self.points, q)
+        best: Optional[Q] = self.points[i - 1] if i else None
         for t in self.tails:
             c = t.nearest_term_below(q)
             if c is not None and (best is None or c > best):
@@ -334,10 +361,8 @@ class NDSet:
         q = rat(q)
         if self.closure_contains(q):
             raise ValueError("query point lies in the closure")
-        best: Optional[Q] = None
-        for p in self.points:
-            if p > q and (best is None or p < best):
-                best = p
+        i = bisect_right(self.points, q)
+        best: Optional[Q] = self.points[i] if i < len(self.points) else None
         for t in self.tails:
             c = t.nearest_term_above(q)
             if c is not None and (best is None or c < best):

@@ -13,7 +13,7 @@ input 0), so structural equality coincides with functional equality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence, Tuple
 
 from .rationals import Interval, Q, rat, rat_str
@@ -26,6 +26,7 @@ class OrderInconsistentTargets(ValueError):
 
 
 def _canonicalize(bps, left_slope, right_slope):
+    """Kept breakpoints and the slopes of the segments between them."""
     # slope sequence around each breakpoint; drop points where it does
     # not change
     n = len(bps)
@@ -34,12 +35,14 @@ def _canonicalize(bps, left_slope, right_slope):
         (x0, y0), (x1, y1) = bps[i], bps[i + 1]
         slopes.append((y1 - y0) / (x1 - x0))
     slopes.append(right_slope)
-    kept = tuple(bps[i] for i in range(n) if slopes[i] != slopes[i + 1])
+    kept = [i for i in range(n) if slopes[i] != slopes[i + 1]]
     if not kept:
         # affine map: pin the nominal breakpoint at input 0
         x0, y0 = bps[0]
-        return ((Q(0), y0 - left_slope * x0),), left_slope, right_slope
-    return kept, left_slope, right_slope
+        return ((Q(0), y0 - left_slope * x0),), ()
+    # the slope right of a kept point holds up to the next kept point
+    return (tuple(bps[i] for i in kept),
+            tuple(slopes[i + 1] for i in kept[:-1]))
 
 
 class PLMap:
@@ -57,14 +60,12 @@ class PLMap:
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must increase in both coordinates")
-        bps, ls, rs = _canonicalize(bps, ls, rs)
+        bps, seg = _canonicalize(bps, ls, rs)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "left_slope", ls)
         object.__setattr__(self, "right_slope", rs)
         object.__setattr__(self, "_xs", tuple(x for x, _ in bps))
         object.__setattr__(self, "_ys", tuple(y for _, y in bps))
-        seg = tuple((bps[i + 1][1] - bps[i][1]) / (bps[i + 1][0] - bps[i][0])
-                    for i in range(len(bps) - 1))
         object.__setattr__(self, "_slopes", seg)
 
     def __setattr__(self, name, value):
@@ -167,18 +168,19 @@ class PLMap:
     def next_breakpoint_below(self, q):
         """Largest breakpoint input strictly below q, or None."""
         q = rat(q)
-        lo = [x for x in self._xs if x < q]
-        return lo[-1] if lo else None
+        i = bisect_left(self._xs, q)
+        return self._xs[i - 1] if i else None
 
     # -- group structure ----------------------------------------------
 
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other: (self.compose(other))(q) == self(other(q))."""
-        xs = set(other._xs)
-        xs.update(other.apply_inverse(x) for x in self._xs)
-        xs = sorted(xs)
-        bps = tuple((x, self.apply(other.apply(x))) for x in xs)
-        return PLMap(bps,
+        # breakpoints of either map, read off their tables where possible:
+        # other's inputs through self, and self's inputs pulled back
+        pts = {x: self.apply(y) for x, y in other.breakpoints}
+        for x, y in self.breakpoints:
+            pts[other.apply_inverse(x)] = y
+        return PLMap(sorted(pts.items()),
                      self.left_slope * other.left_slope,
                      self.right_slope * other.right_slope)
 

@@ -227,10 +227,13 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     if not isinstance(o["steps"], list):
         raise _fail("malformed trace: steps must be a list")
     steps: List[ShiftStep] = []
-    for s in o["steps"]:
+    for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
         if not isinstance(s["n"], int):
             raise _fail("malformed trace step: n must be an int")
+        if s["n"] != i:
+            raise _fail(f"malformed trace step {i}: n must equal the "
+                        "step's position (0, 1, 2, ...)")
         steps.append(ShiftStep(
             s["n"],
             interval_from_obj(s["I"]),

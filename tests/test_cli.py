@@ -153,3 +153,20 @@ def test_props_seed_variation(capsys):
     for seed in ("1", "2", "3"):
         assert run_cli("props", "--seed", seed, "--cases", "8") == 0
         capsys.readouterr()
+
+
+def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    for step, n in ((0, -1), (2, 3), (1, 0)):
+        bad = json.loads(json.dumps(blob))
+        bad["steps"][step]["n"] = n
+        path = tmp_path / f"bad{step}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert run_cli("verify", "--stream", spec, "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err

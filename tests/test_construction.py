@@ -2,14 +2,15 @@ from random import Random
 
 import pytest
 
-from qshift.construction import (EStream, EvacuationError, canonical_interval,
-                                 evacuate, pair_index, rational_enum,
+from qshift.construction import (EStream, EvacuationError, ShiftStep,
+                                 ShiftTrace, canonical_interval, evacuate,
+                                 pair_index, rational_enum,
                                  run_shift_construction, verify_shift_trace,
                                  witness_subgroup)
 from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
                            ndset_points)
 from qshift.plmaps import PLMap
-from qshift.rationals import Interval, Q
+from qshift.rationals import Interval, Q, rat_str
 from qshift.sampling import rng_interval, rng_ndset
 
 
@@ -193,3 +194,78 @@ def test_random_streams_roundtrip():
         s = EStream(incs)
         trace = run_shift_construction(s, 4)
         assert verify_shift_trace(trace, s).passed
+
+
+def quadratic_gap_records(trace, stream):
+    """Reference gap-disjoint sweep: every shifted set against every gap,
+    as (n, detail) pairs in report order."""
+    sigma = PLMap.identity()
+    shifted = []
+    for step in trace.steps:
+        shifted.append(stream.level(step.n).image(sigma))
+        sigma = step.pi.compose(sigma)
+    out = []
+    for m, e in enumerate(shifted):
+        for k, step in enumerate(trace.steps):
+            w = e.closure_meets_closed(step.gap.lower, step.gap.upper)
+            out.append((m, f"J_{k}" if w is None
+                        else f"J_{k} contains {rat_str(w)}"))
+    return out
+
+
+def _mutations(trace, rng):
+    """Corrupted copies: a moved pi breakpoint, a gap centred on a closure
+    point of some shifted set, the same after pi_0 carried everything
+    away (so only shifted_0 meets the gap), a wrong step index."""
+    def copy_steps():
+        return [ShiftStep(st.n, st.interval, st.gap, st.pi, st.sigma_next,
+                          st.shifted) for st in trace.steps]
+
+    def closure(e):
+        return list(e.points) + [t.limit for t in e.tails]
+
+    steps = copy_steps()
+    k = rng.randrange(len(steps))
+    (x, y), *rest = steps[k].pi.breakpoints
+    y_next = rest[0][1] if rest else y + 2
+    steps[k].pi = PLMap([(x, (y + y_next) / 2)] + rest,
+                        steps[k].pi.left_slope, steps[k].pi.right_slope)
+    yield steps
+
+    m = rng.randrange(len(steps))
+    if closure(trace.steps[m].shifted):
+        p = rng.choice(closure(trace.steps[m].shifted))
+        steps = copy_steps()
+        steps[rng.randrange(len(steps))].gap = \
+            Interval(p - Q(1, 1000), p + Q(1, 1000))
+        yield steps
+
+    if closure(trace.steps[0].shifted):
+        p = rng.choice(closure(trace.steps[0].shifted))
+        steps = copy_steps()
+        steps[0].pi = PLMap.translation(1000).compose(steps[0].pi)
+        steps[-1].gap = Interval(p - Q(1, 1000), p + Q(1, 1000))
+        yield steps
+
+    steps = copy_steps()
+    steps[-1].n += 1
+    yield steps
+
+
+def test_gap_sweep_matches_quadratic_oracle():
+    rng = Random(31)
+    streams = [EStream([ndset_points(rational_enum(i)) for i in range(9)])]
+    streams += [EStream([rng_ndset(rng, max_points=1, max_tails=1)
+                         for _ in range(6)]) for _ in range(4)]
+    hits = 0
+    for s in streams:
+        trace = run_shift_construction(s, 5)
+        candidates = [list(trace.steps)] + list(_mutations(trace, rng))
+        for steps in candidates:
+            t = ShiftTrace(steps)
+            got = [(c.index, c.detail) for c in
+                   verify_shift_trace(t, s).by_name("gap-disjoint")]
+            want = quadratic_gap_records(t, s)
+            assert got == want
+            hits += any("contains" in detail for _, detail in want)
+    assert hits >= len(streams)  # the corrupted gaps were caught

@@ -188,3 +188,167 @@ def test_validation():
         GeomTail(0, 1, Q(3, 2))
     with pytest.raises(ValueError):
         GeomTail(0, 1, Q(1, 2), head_drop=-1)
+
+
+# -- linear-scan oracles for the ordered queries -------------------------
+
+def tail_closure_upto(tail, dist):
+    """The tail's limit and its terms up to the first one within dist of
+    the limit; every later term lies strictly between that one and the
+    limit, so it is never the answer to a query that ``dist`` bounds."""
+    out = [tail.limit]
+    k = 0
+    while True:
+        out.append(tail.term(k))
+        if abs(tail.term(k) - tail.limit) <= dist:
+            return out
+        k += 1
+
+
+def tail_member_scan(tail, q):
+    """Membership by walking the terms until they pass q."""
+    if q == tail.limit:
+        return False
+    dist = abs(q - tail.limit)
+    k = 0
+    while abs(tail.term(k) - tail.limit) >= dist:
+        if tail.term(k) == q:
+            return True
+        k += 1
+    return False
+
+
+def scan_contains(e, q):
+    return (any(p == q for p in e.points)
+            or any(tail_member_scan(t, q) for t in e.tails))
+
+
+def scan_closure_meets_closed(e, a, b):
+    for p in e.points:
+        if a <= p <= b:
+            return p
+    for t in e.tails:
+        if a <= t.limit <= b:
+            return t.limit
+        dist = min(abs(a - t.limit), abs(b - t.limit))
+        inside = [c for c in tail_closure_upto(t, dist)[1:] if a <= c <= b]
+        if inside:
+            # the term nearest the limit, as the tail query reports it
+            return max(inside) if t.coeff > 0 else min(inside)
+    return None
+
+
+def scan_nearest(e, q, below):
+    cands = list(e.points)
+    for t in e.tails:
+        cands.extend(tail_closure_upto(t, abs(q - t.limit)))
+    side = [c for c in cands if (c < q if below else c > q)]
+    if not side:
+        return None
+    return max(side) if below else min(side)
+
+
+def scan_canonical(points, tails):
+    """Reference canonical form: extend each tail backwards through the
+    set's members, then keep the points no extended tail holds."""
+    given = set(points)
+    tails = set(tails)
+    extended = set()
+    for t in tails:
+        coeff = t.coeff
+        while True:
+            prev = t.limit + coeff / t.ratio
+            if not (prev in given
+                    or any(tail_member_scan(s, prev) for s in tails)):
+                break
+            coeff = coeff / t.ratio
+        extended.add(GeomTail(t.limit, coeff, t.ratio))
+    pts = tuple(sorted(p for p in given
+                       if not any(tail_member_scan(t, p) for t in extended)))
+    return pts, tuple(t._key() for t in sorted(extended, key=GeomTail._key))
+
+
+def entangled_presentation(rng):
+    """Points and tails that overlap: tail terms and backward terms listed
+    as points, and tails whose heads sit on other tails' members."""
+    tails = [rng_geomtail(rng) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 2)):
+        t = rng.choice(tails)
+        p = t.term(rng.randint(0, 3))
+        limit = rng_rational(rng, 8)
+        if limit != p:
+            tails.append(GeomTail(limit, p - limit, Q(1, rng.randint(2, 4))))
+    points = [rng_rational(rng, 10) for _ in range(rng.randint(0, 4))]
+    for t in tails:
+        if rng.random() < 0.5:
+            points.append(t.term(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            points.append(t.limit + t.coeff / t.ratio ** rng.randint(1, 2))
+    return points, tails
+
+
+def probe_points(rng, e):
+    qs = [rng_rational(rng, 12) for _ in range(6)]
+    qs.extend(e.points)
+    for t in e.tails:
+        qs.extend((t.limit, t.lo, t.hi, t.term(2), (t.term(0) + t.term(1)) / 2,
+                   t.limit + 2 * t.coeff, t.limit - t.coeff))
+    return qs
+
+
+def test_ordered_queries_match_linear_scans():
+    rng = Random(2024)
+    for _ in range(150):
+        points, tails = entangled_presentation(rng)
+        e = NDSet(points, tails)
+        assert e._key() == scan_canonical(points, tails)
+        qs = probe_points(rng, e)
+        for q in qs:
+            assert e.contains(q) == scan_contains(e, q), q
+            for t in e.tails:
+                assert t.contains(q) == tail_member_scan(t, q), (t, q)
+            if not e.closure_contains(q):
+                assert e.nearest_closure_below(q) == scan_nearest(e, q, True)
+                assert e.nearest_closure_above(q) == scan_nearest(e, q, False)
+        for _ in range(8):
+            a, b = sorted(rng.sample(qs, 2))
+            assert e.closure_meets_closed(a, b) == \
+                scan_closure_meets_closed(e, a, b), (a, b)
+
+
+# -- canonical presentation --------------------------------------------
+
+def test_functoriality_counterexamples():
+    # two tails whose head points coincide: the presentation of the
+    # image must not depend on which tail is extended first
+    e = NDSet([], [GeomTail(Q(-1, 2), Q(-2, 3), Q(1, 2)),
+                   GeomTail(Q(1, 2), -2, Q(2, 3))])
+    f = PLMap([(0, 0)])
+    g = PLMap([(0, Q(7, 4))], 3, 3)
+    assert e.image(f.compose(g)) == e.image(g).image(f)
+    # a tail's head abuts another tail's term, which only one assembly
+    # lists as a point
+    e = NDSet([], [GeomTail(Q(3, 4), Q(-3, 4), Q(1, 2)),
+                   GeomTail(1, Q(-1, 2), Q(1, 2))])
+    f = PLMap([(Q(5, 3), Q(5, 3))], Q(2, 3), Q(3, 4))
+    g = PLMap.identity()
+    assert e.image(f.compose(g)) == e.image(g).image(f)
+
+
+def test_presentation_independent_of_assembly():
+    rng = Random(4711)
+    for _ in range(150):
+        points, tails = entangled_presentation(rng)
+        want = NDSet(points, tails)._key()
+        for _ in range(4):
+            pts = points + rng.sample(points, len(points) // 2)
+            tls = tails + rng.sample(tails, len(tails) // 2)
+            rng.shuffle(pts)
+            rng.shuffle(tls)
+            # list a tail's head as a point and start the tail after it
+            if rng.random() < 0.5:
+                i = rng.randrange(len(tls))
+                t = tls[i]
+                pts.append(t.term(0))
+                tls[i] = GeomTail(t.limit, t.coeff, t.ratio, head_drop=1)
+            assert NDSet(pts, tls)._key() == want

@@ -134,3 +134,31 @@ def test_squeeze_validates_geometry():
         squeeze_map(Interval(0, 10), [((Q(4), Q(6)), Interval(1, 11))])
     with pytest.raises(ValueError):
         squeeze_map(Interval(0, None), [])
+
+
+def test_compose_matches_pointwise_oracle():
+    rng = Random(606)
+    for _ in range(300):
+        f, g = rng_plmap(rng), rng_plmap(rng)
+        h = f.compose(g)
+        # the same map built by evaluating f(g(x)) at every candidate
+        # breakpoint of the composite
+        xs = sorted(set(g._xs) | {g.apply_inverse(x) for x in f._xs})
+        assert h == PLMap([(x, f.apply(g.apply(x))) for x in xs],
+                          f.left_slope * g.left_slope,
+                          f.right_slope * g.right_slope)
+        # and pointwise at those breakpoints, between them and beyond them
+        probes = xs + [(x + y) / 2 for x, y in zip(xs, xs[1:])]
+        probes += [xs[0] - 1, xs[-1] + 1]
+        for x in probes:
+            assert h.apply(x) == f.apply(g.apply(x)), x
+
+
+def test_next_breakpoint_queries():
+    f = PLMap([(0, 0), (1, 2), (3, 4)], 1, 2)
+    assert f.next_breakpoint_below(Q(1)) == 0
+    assert f.next_breakpoint_below(Q(3, 2)) == 1
+    assert f.next_breakpoint_below(Q(0)) is None
+    assert f.next_breakpoint_below(Q(9)) == 3
+    assert f.next_breakpoint_above(Q(1)) == 3
+    assert f.next_breakpoint_above(Q(3)) is None
