@@ -1,22 +1,15 @@
 """Build script.
 
-Compiles the optional rational-arithmetic speedup extension when Cython
-and a C compiler are available.  The package is fully functional without
-it (the pure backend is stdlib fractions.Fraction), so any failure here
-downgrades to a pure-Python install instead of aborting.
+Compiles the optional rational-arithmetic speedup extension from the
+committed C source ``_speedups.c`` (generated from ``_speedups.pyx``), so
+no Cython is needed.  The package is fully functional without it (the
+pure backend is stdlib fractions.Fraction), so the extension is marked
+optional: a failed compile downgrades to a pure-Python install instead
+of aborting.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/qshift/_qarith/_speedups.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    print(f"qshift: building without compiled kernel ({exc})")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("qshift._qarith._speedups",
+                             ["src/qshift/_qarith/_speedups.c"],
+                             optional=True)])

@@ -166,8 +166,9 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
 
     covers: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []
     for a, b in merged_blocked:
-        below = c_fix.nearest_closure_below(a)
-        above = c_fix.nearest_closure_above(b)
+        # [a, b] misses the closure of c_fix (checked above), so a and b
+        # have the same nearest closure points
+        below, above = c_fix.neighbours(a)
         u = a - 1 if below is None else simplest_between(below, a)
         v = b + 1 if above is None else simplest_between(b, above)
         covers.append((u, v, [(a, b)]))

@@ -55,14 +55,11 @@ def _pow_matching_denominator(base_den: int, target_den: int) -> Optional[int]:
 
 def _exact_log(r: Q, t: Q) -> Optional[int]:
     """Integer e (any sign) with r**e == t, for 0 < r < 1 and t > 0."""
-    if t == 1:
-        return 0
-    if t < 1:
-        d = _pow_matching_denominator(r.denominator, t.denominator)
-        return d if d is not None and d > 0 and r ** d == t else None
-    inv = 1 / t
-    d = _pow_matching_denominator(r.denominator, inv.denominator)
-    return -d if d is not None and d > 0 and r ** d == inv else None
+    if t > 1:
+        e = _exact_log(r, 1 / t)
+        return None if e is None else -e
+    d = _pow_matching_denominator(r.denominator, t.denominator)
+    return d if d is not None and r ** d == t else None
 
 
 class GeomTail:
@@ -72,6 +69,12 @@ class GeomTail:
     coefficient, so stored tails always start at exponent 0.  The closed
     hull [lo, hi] spans the limit and the head term; the closure lies
     inside it.
+
+    Queries work in the exponent coordinate t = (q - limit) / coeff, in
+    which every tail looks the same: its terms are the powers ratio**k,
+    its closure adds t = 0, and its hull is [0, 1].  The coordinate runs
+    with q when coeff > 0 and against it when coeff < 0, so one
+    implementation serves tails on either side of their limit.
     """
 
     __slots__ = ("limit", "coeff", "ratio", "lo", "hi")
@@ -124,53 +127,29 @@ class GeomTail:
             return False
         return self.ratio.numerator ** k == t.numerator
 
-    def min_k_term_below(self, x: Q) -> Optional[int]:
-        """For coeff > 0: minimal k with term(k) < x (terms decrease)."""
+    def first_k_inside(self, x: Q) -> Optional[int]:
+        """Minimal k with term(k) strictly between the limit and x; None
+        when x is not on the terms' side of the limit."""
         return _min_pow_lt(self.ratio, (x - self.limit) / self.coeff)
 
-    def min_k_term_above(self, x: Q) -> Optional[int]:
-        """For coeff < 0: minimal k with term(k) > x (terms increase)."""
-        return _min_pow_lt(self.ratio, (x - self.limit) / self.coeff)
+    def neighbours(self, q: Q) -> Tuple[Optional[Q], Optional[Q]]:
+        """Closure points of the tail nearest to q strictly below and
+        strictly above it (None where there is none).
 
-    def nearest_term_below(self, q: Q) -> Optional[Q]:
-        """Largest closure point of the tail strictly below q.
-
-        Must not be called with q equal to a limit the terms approach
-        from below (there is no largest such point).
+        Must not be called with q equal to the limit, which has no
+        nearest closure point on the side the terms approach from.
         """
-        if self.coeff > 0:
-            if q <= self.limit:
-                return None
-            k = self.min_k_term_below(q)
-            return self.term(k)
-        if q > self.limit:
-            return self.limit
-        if q == self.limit:
-            raise ValueError("no largest tail point below its own limit")
-        if q <= self.term(0):
-            return None
-        # the first index whose term reaches q; its predecessor is the
-        # largest term still below
-        k_up = _min_pow_lt(self.ratio, (q - self.limit) / self.coeff,
-                           strict=False)
-        return self.term(k_up - 1) if k_up > 0 else None
-
-    def nearest_term_above(self, q: Q) -> Optional[Q]:
-        """Smallest closure point of the tail strictly above q."""
-        if self.coeff < 0:
-            if q >= self.limit:
-                return None
-            k = self.min_k_term_above(q)
-            return self.term(k)
-        if q < self.limit:
-            return self.limit
-        if q == self.limit:
-            raise ValueError("no smallest tail point above its own limit")
-        if q >= self.term(0):
-            return None
-        k_up = _min_pow_lt(self.ratio, (q - self.limit) / self.coeff,
-                           strict=False)
-        return self.term(k_up - 1) if k_up > 0 else None
+        t = (q - self.limit) / self.coeff
+        if t == 0:
+            raise ValueError("no nearest tail point beside its own limit")
+        if t < 0:
+            under, over = None, self.limit
+        else:
+            # the largest power of ratio below t, and the smallest above
+            under = self.term(_min_pow_lt(self.ratio, t))
+            k = _min_pow_lt(self.ratio, t, strict=False)
+            over = self.term(k - 1) if k else None
+        return (under, over) if self.coeff > 0 else (over, under)
 
     def closure_meets_closed(self, a: Q, b: Q) -> Optional[Q]:
         """Some closure point of the tail in [a, b], or None."""
@@ -178,21 +157,13 @@ class GeomTail:
             return None
         if a <= self.limit <= b:
             return self.limit
-        if self.coeff > 0:
-            # terms live in (limit, term(0)]
-            if b <= self.limit or a > self.term(0):
-                return None
-            k = 0 if b >= self.term(0) else _min_pow_lt(
-                self.ratio, (b - self.limit) / self.coeff, strict=False)
-            t = self.term(k)  # largest term <= b
-            return t if t >= a else None
-        # terms live in [term(0), limit)
-        if a >= self.limit or b < self.term(0):
-            return None
-        k = 0 if a <= self.term(0) else _min_pow_lt(
-            self.ratio, (a - self.limit) / self.coeff, strict=False)
-        t = self.term(k)  # smallest term >= a
-        return t if t <= b else None
+        # [a, b] now lies beside the limit on the terms' side; the only
+        # candidate is the largest power of ratio not above the t of the
+        # end farther from the limit: the term nearest that end
+        far = b if self.coeff > 0 else a
+        w = self.term(_min_pow_lt(self.ratio, (far - self.limit) / self.coeff,
+                                  strict=False))
+        return w if a <= w <= b else None
 
 
 def tail_final_piece(f: PLMap, t: GeomTail):
@@ -201,15 +172,8 @@ def tail_final_piece(f: PLMap, t: GeomTail):
 
     Terms with k >= k0 then map through f(limit) + slope*(term - limit).
     """
-    if t.coeff > 0:
-        x_star = f.next_breakpoint_above(t.limit)
-        slope = f.slope_right_of(t.limit)
-        cut = None if x_star is None else t.min_k_term_below(x_star)
-    else:
-        x_star = f.next_breakpoint_below(t.limit)
-        slope = f.slope_left_of(t.limit)
-        cut = None if x_star is None else t.min_k_term_above(x_star)
-    return (0 if cut is None else cut), slope
+    x_star, slope = f.piece_beside(t.limit, t.coeff > 0)
+    return (0 if x_star is None else t.first_k_inside(x_star)), slope
 
 
 class SubsetVerdict(Enum):
@@ -236,7 +200,17 @@ _HEAD_CAP = 5000
 
 
 class NDSet:
-    """Finite points plus geometric tails, canonically presented."""
+    """Finite points plus geometric tails, in a normalized presentation.
+
+    The points are sorted and none lies on a tail; the tails are sorted,
+    and each is extended backwards through every member of the set it
+    abuts.  Sets assembled from the same points and tails, in any order,
+    with duplicates or with head terms listed as points, therefore get
+    equal presentations.  Tails whose ratios are powers of one another are
+    not merged, so ``==`` is structural and can call equal sets different:
+    the tails {1/4^k} and {1/2 * 1/4^k} together hold exactly the terms of
+    the single tail {1/2^k}, yet the two presentations differ.
+    """
 
     __slots__ = ("points", "tails")
 
@@ -343,36 +317,33 @@ class NDSet:
                 return w
         return None
 
-    def nearest_closure_below(self, q) -> Optional[Q]:
-        """Largest closure point strictly below q; requires q off the closure."""
+    def neighbours(self, q) -> Tuple[Optional[Q], Optional[Q]]:
+        """Closure points nearest to q strictly below and strictly above
+        it (None where there is none); requires q off the closure."""
         q = rat(q)
         if self.closure_contains(q):
             raise ValueError("query point lies in the closure")
-        i = bisect_left(self.points, q)
-        best: Optional[Q] = self.points[i - 1] if i else None
+        pts = self.points
+        i = bisect_left(pts, q)
+        lo = pts[i - 1] if i else None
+        hi = pts[i] if i < len(pts) else None
         for t in self.tails:
-            c = t.nearest_term_below(q)
-            if c is not None and (best is None or c > best):
-                best = c
-        return best
+            below, above = t.neighbours(q)
+            if below is not None and (lo is None or below > lo):
+                lo = below
+            if above is not None and (hi is None or above < hi):
+                hi = above
+        return lo, hi
+
+    def nearest_closure_below(self, q) -> Optional[Q]:
+        return self.neighbours(q)[0]
 
     def nearest_closure_above(self, q) -> Optional[Q]:
-        """Smallest closure point strictly above q; requires q off the closure."""
-        q = rat(q)
-        if self.closure_contains(q):
-            raise ValueError("query point lies in the closure")
-        i = bisect_right(self.points, q)
-        best: Optional[Q] = self.points[i] if i < len(self.points) else None
-        for t in self.tails:
-            c = t.nearest_term_above(q)
-            if c is not None and (best is None or c < best):
-                best = c
-        return best
+        return self.neighbours(q)[1]
 
     def gap_around(self, q, window: Interval) -> Interval:
         """Maximal closure-free open interval around q inside the window."""
-        lo = self.nearest_closure_below(q)
-        hi = self.nearest_closure_above(q)
+        lo, hi = self.neighbours(q)
         if window.lower is not None:
             lo = window.lower if lo is None else max(lo, window.lower)
         if window.upper is not None:
@@ -419,31 +390,20 @@ class NDSet:
             if (s.coeff > 0) != (t.coeff > 0):
                 continue
             ratio_quot = t.coeff / s.coeff
-            if t.ratio == s.ratio:
-                e = _exact_log(s.ratio, ratio_quot)
-                if e is not None:
-                    # term k of t is term k+e of s; need k+e >= 0
-                    out.append((max(0, -e), 1))
-                continue
             d = _exact_log(s.ratio, t.ratio)
-            if d is not None and d >= 2:
-                # t.ratio == s.ratio**d: index map j = d*k + e
+            if d is not None:
+                # t.ratio == s.ratio**d: term k of t is term d*k + e of s,
+                # which exists once d*k + e >= 0
                 e = _exact_log(s.ratio, ratio_quot)
                 if e is not None:
-                    start = 0
-                    while d * start + e < 0:
-                        start += 1
-                    out.append((start, 1))
+                    out.append((max(0, -(e // d)), 1))
                 continue
             m = _exact_log(t.ratio, s.ratio)
-            if m is not None and m >= 2:
-                # s.ratio == t.ratio**m: covered k are m*j - e
+            if m is not None:
+                # s.ratio == t.ratio**m: covered k are m*j - e for j >= 0
                 e = _exact_log(t.ratio, ratio_quot)
                 if e is not None:
-                    k0 = -e
-                    while k0 < 0:
-                        k0 += m
-                    out.append((k0, m))
+                    out.append((-e if e <= 0 else -e % m, m))
         return out
 
     def _tail_subset_of_closure(self, t: GeomTail) -> SubsetResult:

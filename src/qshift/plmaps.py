@@ -14,7 +14,7 @@ input 0), so structural equality coincides with functional equality.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .rationals import Interval, Q, rat, rat_str
 
@@ -26,7 +26,9 @@ class OrderInconsistentTargets(ValueError):
 
 
 def _canonicalize(bps, left_slope, right_slope):
-    """Kept breakpoints and the slopes of the segments between them."""
+    """Kept breakpoints and the slopes of the pieces they bound: piece i
+    runs from breakpoint i-1 to breakpoint i, so the first and the last
+    piece are the rays."""
     # slope sequence around each breakpoint; drop points where it does
     # not change
     n = len(bps)
@@ -39,10 +41,10 @@ def _canonicalize(bps, left_slope, right_slope):
     if not kept:
         # affine map: pin the nominal breakpoint at input 0
         x0, y0 = bps[0]
-        return ((Q(0), y0 - left_slope * x0),), ()
+        return ((Q(0), y0 - left_slope * x0),), (left_slope, right_slope)
     # the slope right of a kept point holds up to the next kept point
     return (tuple(bps[i] for i in kept),
-            tuple(slopes[i + 1] for i in kept[:-1]))
+            (left_slope,) + tuple(slopes[i + 1] for i in kept))
 
 
 class PLMap:
@@ -116,60 +118,26 @@ class PLMap:
     def apply(self, q) -> Q:
         """Exact image of q under the map."""
         q = rat(q)
-        xs = self._xs
-        if q <= xs[0]:
-            return self._ys[0] + self.left_slope * (q - xs[0])
-        if q >= xs[-1]:
-            return self._ys[-1] + self.right_slope * (q - xs[-1])
-        i = bisect_right(xs, q) - 1
-        return self._ys[i] + self._slopes[i] * (q - xs[i])
+        i = bisect_right(self._xs, q)
+        j = i - 1 if i else 0  # the breakpoint anchoring piece i
+        return self._ys[j] + self._slopes[i] * (q - self._xs[j])
 
     def apply_inverse(self, q) -> Q:
         """Exact preimage: the x with apply(x) == q."""
         q = rat(q)
-        ys = self._ys
-        if q <= ys[0]:
-            return self._xs[0] + (q - ys[0]) / self.left_slope
-        if q >= ys[-1]:
-            return self._xs[-1] + (q - ys[-1]) / self.right_slope
-        i = bisect_right(ys, q) - 1
-        return self._xs[i] + (q - ys[i]) / self._slopes[i]
+        i = bisect_right(self._ys, q)
+        j = i - 1 if i else 0
+        return self._xs[j] + (q - self._ys[j]) / self._slopes[i]
 
-    def slope_right_of(self, q) -> Q:
-        """Slope of the linear piece on (q, q + eps)."""
+    def piece_beside(self, q, right: bool) -> Tuple[Optional[Q], Q]:
+        """The linear piece of the map on one side of q: the nearest
+        breakpoint input strictly beyond q on that side (None if there is
+        none) and the slope between q and it."""
         q = rat(q)
         xs = self._xs
-        if q >= xs[-1]:
-            return self.right_slope
-        if q < xs[0]:
-            return self.left_slope
-        return self._slopes[bisect_right(xs, q) - 1]
-
-    def slope_left_of(self, q) -> Q:
-        """Slope of the linear piece on (q - eps, q)."""
-        q = rat(q)
-        xs = self._xs
-        if q <= xs[0]:
-            return self.left_slope
-        if q > xs[-1]:
-            return self.right_slope
-        # index of the segment ending at or after q
-        i = bisect_right(xs, q) - 1
-        if xs[i] == q:
-            i -= 1
-        return self._slopes[i] if i >= 0 else self.left_slope
-
-    def next_breakpoint_above(self, q):
-        """Smallest breakpoint input strictly above q, or None."""
-        q = rat(q)
-        i = bisect_right(self._xs, q)
-        return self._xs[i] if i < len(self._xs) else None
-
-    def next_breakpoint_below(self, q):
-        """Largest breakpoint input strictly below q, or None."""
-        q = rat(q)
-        i = bisect_left(self._xs, q)
-        return self._xs[i - 1] if i else None
+        i = bisect_right(xs, q) if right else bisect_left(xs, q)
+        j = i if right else i - 1
+        return (xs[j] if 0 <= j < len(xs) else None), self._slopes[i]
 
     # -- group structure ----------------------------------------------
 

@@ -104,6 +104,10 @@ def ndset_to_obj(e: NDSet) -> dict:
     }
 
 
+# Python converts ints of at most this many digits to and from strings
+_MAX_DIGITS = 4300
+
+
 def ndset_from_obj(o: Any) -> NDSet:
     _need(o, ("points", "tails"), "set")
     if not isinstance(o["points"], list) or not isinstance(o["tails"], list):
@@ -112,13 +116,20 @@ def ndset_from_obj(o: Any) -> NDSet:
     tails = []
     for t in o["tails"]:
         _need(t, ("limit", "coeff", "ratio", "headDrop"), "tail")
-        if not isinstance(t["headDrop"], int) or t["headDrop"] < 0:
+        drop = t["headDrop"]
+        if not isinstance(drop, int) or drop < 0:
             raise _fail("malformed tail: headDrop must be a nonnegative int")
+        coeff, ratio = _rat_from(t["coeff"], "tail"), _rat_from(t["ratio"], "tail")
+        # bound the digits of the folded coeff * ratio**drop before
+        # computing the power
+        if drop and max(len(str(abs(c))) + drop * len(str(abs(r))) for c, r in (
+                (coeff.numerator, ratio.numerator),
+                (coeff.denominator, ratio.denominator))) > _MAX_DIGITS:
+            raise _fail(f"malformed tail: headDrop {drop} could give the "
+                        f"coefficient more than {_MAX_DIGITS} digits")
         try:
-            tails.append(GeomTail(_rat_from(t["limit"], "tail"),
-                                  _rat_from(t["coeff"], "tail"),
-                                  _rat_from(t["ratio"], "tail"),
-                                  head_drop=t["headDrop"]))
+            tails.append(GeomTail(_rat_from(t["limit"], "tail"), coeff, ratio,
+                                  head_drop=drop))
         except ValueError as exc:
             raise _fail(f"malformed tail: {exc}") from exc
     return NDSet(pts, tails)
@@ -293,7 +304,9 @@ def read_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON, undecodable bytes and integer
+        # literals over Python's int conversion limit
         raise _fail(f"cannot read {path}: {exc}") from exc
 
 

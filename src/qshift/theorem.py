@@ -62,8 +62,7 @@ def order_iso_fixing(support: NDSet,
         moved.append((a, b))
     anchors: Dict[Q, Q] = {}
     for a, b in moved:
-        lo = support.nearest_closure_below(a)
-        hi = support.nearest_closure_above(a)
+        lo, hi = support.neighbours(a)
         if (lo is not None and not b > lo) or (hi is not None and not b < hi):
             return None  # target leaves the closure gap of its argument
         if lo is not None:

@@ -170,3 +170,39 @@ def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
         assert run_cli("verify", "--stream", spec, "--out", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_oversized_integer_literal_is_input_error(tmp_path, capsys):
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "2",
+                   "--out", str(out)) == 0
+    # json.load refuses integers over Python's 4300-digit conversion limit
+    text = out.read_text()
+    big = tmp_path / "big_n.json"
+    big.write_text(text.replace('"N":2', '"N":' + "9" * 5000, 1))
+    assert big.read_text() != text
+    capsys.readouterr()
+    assert run_cli("verify", "--stream", spec, "--out", str(big)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_head_drop_bounded_at_parse_time(tmp_path, capsys):
+    for drop in (100000, 10 ** 12):
+        stream = tmp_path / f"drop{drop}.json"
+        stream.write_text(json.dumps({"increments": [{"points": [], "tails": [
+            {"limit": "0", "coeff": "1", "ratio": "1/2",
+             "headDrop": drop}]}]}))
+        capsys.readouterr()
+        code = run_cli("construct", "--stream", str(stream), "--steps", "1",
+                       "--out", str(tmp_path / "t.json"))
+        assert code == 2, drop
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "headDrop" in err
+    # a drop well inside the bound still folds into the coefficient
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"increments": [{"points": [], "tails": [
+        {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": 40}]}]}))
+    assert run_cli("construct", "--stream", str(ok), "--steps", "1",
+                   "--out", str(tmp_path / "t.json")) == 0

@@ -3,11 +3,12 @@ from random import Random
 import pytest
 
 from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
-                           ndset_points)
+                           ndset_points, tail_final_piece)
 from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
 from qshift.rationals import Interval, Q
-from qshift.sampling import rng_geomtail, rng_ndset, rng_rational
+from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
+                             rng_rational)
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -352,3 +353,130 @@ def test_presentation_independent_of_assembly():
                 pts.append(t.term(0))
                 tls[i] = GeomTail(t.limit, t.coeff, t.ratio, head_drop=1)
             assert NDSet(pts, tls)._key() == want
+
+
+# -- one query for both directions, against term walks --------------------
+
+def tail_walk_neighbours(tail, q):
+    """Nearest closure points of the tail below and above q, from the
+    limit and the terms up to the first one strictly nearer the limit
+    than q (every later term lies between that one and the limit)."""
+    dist = abs(q - tail.limit)
+    cands = [tail.limit]
+    k = 0
+    while True:
+        cands.append(tail.term(k))
+        if abs(tail.term(k) - tail.limit) < dist:
+            break
+        k += 1
+    below = [c for c in cands if c < q]
+    above = [c for c in cands if c > q]
+    return (max(below) if below else None, min(above) if above else None)
+
+
+def tail_walk_meets(tail, a, b):
+    """The limit if [a, b] holds it, else the term in [a, b] farthest
+    from the limit, by walking the terms until they leave [a, b]."""
+    if a <= tail.limit <= b:
+        return tail.limit
+    dist = min(abs(a - tail.limit), abs(b - tail.limit))
+    inside = [c for c in tail_closure_upto(tail, dist)[1:] if a <= c <= b]
+    return max(inside, key=lambda c: abs(c - tail.limit)) if inside else None
+
+
+def tail_probes(rng, tail):
+    qs = [tail.term(k) for k in range(4)]
+    qs += [(tail.term(k) + tail.term(k + 1)) / 2 for k in range(3)]
+    qs += [tail.limit - tail.coeff / 3, tail.limit + 2 * tail.coeff,
+           tail.limit + tail.coeff / tail.ratio, tail.limit]
+    qs += [rng_rational(rng, 10) for _ in range(4)]
+    return qs
+
+
+def test_tail_neighbours_and_meets_match_term_walks():
+    rng = Random(31337)
+    signs = set()
+    for _ in range(150):
+        tail = rng_geomtail(rng)
+        signs.add(tail.coeff > 0)
+        qs = tail_probes(rng, tail)
+        for q in qs:
+            if q == tail.limit:
+                with pytest.raises(ValueError):
+                    tail.neighbours(q)
+            else:
+                assert tail.neighbours(q) == tail_walk_neighbours(tail, q), \
+                    (tail, q)
+        for a in qs:
+            for b in qs:
+                if a <= b:
+                    assert tail.closure_meets_closed(a, b) == \
+                        tail_walk_meets(tail, a, b), (tail, a, b)
+    assert signs == {True, False}
+
+
+def map_through(rng, anchors):
+    """An increasing map with a breakpoint at every anchor and a few more."""
+    xs = sorted(set(anchors) | set(rng_distinct_rationals(rng, rng.randint(1, 3))))
+    ys = rng_distinct_rationals(rng, len(xs), span=40)
+    return PLMap(tuple(zip(xs, ys)), Q(rng.randint(1, 4), rng.randint(1, 4)),
+                 Q(rng.randint(1, 4), rng.randint(1, 4)))
+
+
+def test_tail_final_piece_exact_and_minimal():
+    rng = Random(5150)
+    for _ in range(300):
+        tail = rng_geomtail(rng)
+        anchors = rng.sample([tail.limit, tail.term(0), tail.term(1),
+                              tail.term(3), (tail.term(1) + tail.term(2)) / 2,
+                              tail.limit - tail.coeff], rng.randint(0, 3))
+        f = map_through(rng, anchors)
+        k0, slope = tail_final_piece(f, tail)
+        fl = f.apply(tail.limit)
+        affine = lambda x: fl + slope * (x - tail.limit)
+        # exact: every term from k0 on maps affinely
+        for k in range(k0, k0 + 6):
+            assert f.apply(tail.term(k)) == affine(tail.term(k)), (f, tail, k)
+        # minimal: a breakpoint lies between the limit (excluded) and
+        # term k0 - 1 (included), and nothing lies before term k0
+        side = [x for x in f._xs if 0 < (x - tail.limit) / tail.coeff]
+        nearest = lambda k: [x for x in side
+                             if (x - tail.limit) / tail.coeff <= tail.ratio ** k]
+        assert not nearest(k0)
+        if k0:
+            assert nearest(k0 - 1)
+            # the term before k0 sits on the piece's far breakpoint or in
+            # the next piece, where the slope differs
+            x_star = min(side, key=lambda x: abs(x - tail.limit))
+            x = tail.term(k0 - 1)
+            if x == x_star:
+                assert f.apply(x) == affine(x)
+            elif len(nearest(k0 - 1)) == 1:
+                assert f.apply(x) != affine(x)
+
+
+def covered_by_aps(aps, k):
+    return any(k >= start and (k - start) % step == 0 for start, step in aps)
+
+
+def test_tail_cover_aps_match_term_walks():
+    limit, r = Q(1, 3), Q(2, 3)
+    for c in (Q(3, 2), Q(-5, 7)):
+        for power in (1, 2, 3):
+            for e in range(-7, 4):
+                # t.ratio == s.ratio**power: the exponents from a start on
+                s = GeomTail(limit, c, r)
+                t = GeomTail(limit, c * r ** e, r ** power)
+                aps = NDSet(tails=[s])._tail_cover_aps(t)
+                assert aps == [(max(0, -(e // power)), 1)], (power, e)
+                for k in range(30):
+                    assert covered_by_aps(aps, k) == s.contains(t.term(k))
+                if power == 1:
+                    continue
+                # s.ratio == t.ratio**power: one residue class mod power
+                s = GeomTail(limit, c, r ** power)
+                t = GeomTail(limit, c * r ** e, r)
+                aps = NDSet(tails=[s])._tail_cover_aps(t)
+                assert len(aps) == 1 and aps[0][1] == power
+                for k in range(30):
+                    assert covered_by_aps(aps, k) == s.contains(t.term(k))

@@ -156,9 +156,40 @@ def test_compose_matches_pointwise_oracle():
 
 def test_next_breakpoint_queries():
     f = PLMap([(0, 0), (1, 2), (3, 4)], 1, 2)
-    assert f.next_breakpoint_below(Q(1)) == 0
-    assert f.next_breakpoint_below(Q(3, 2)) == 1
-    assert f.next_breakpoint_below(Q(0)) is None
-    assert f.next_breakpoint_below(Q(9)) == 3
-    assert f.next_breakpoint_above(Q(1)) == 3
-    assert f.next_breakpoint_above(Q(3)) is None
+    assert f.piece_beside(Q(1), False) == (0, 2)
+    assert f.piece_beside(Q(3, 2), False) == (1, 1)
+    assert f.piece_beside(Q(0), False) == (None, 1)
+    assert f.piece_beside(Q(9), False) == (3, 2)
+    assert f.piece_beside(Q(1), True) == (3, 1)
+    assert f.piece_beside(Q(3), True) == (None, 2)
+
+
+def test_piece_beside_matches_apply():
+    rng = Random(909)
+    for _ in range(300):
+        f = rng_plmap(rng)
+        xs = list(f._xs)
+        affine = len(xs) == 1 and f.left_slope == f.right_slope
+        probes = xs + [(x + y) / 2 for x, y in zip(xs, xs[1:])]
+        probes += [xs[0] - 1, xs[-1] + 1, rng_rational(rng)]
+        for q in probes:
+            for right in (True, False):
+                bp, slope = f.piece_beside(q, right)
+                beyond = [x for x in xs if (x > q if right else x < q)]
+                want = (min(beyond) if right else max(beyond)) if beyond else None
+                assert bp == want, (f, q, right)
+                # the slope read off apply between q and that breakpoint
+                # (one unit out along a ray), and at a point nearer q
+                sign = 1 if right else -1
+                far = q + sign if bp is None else bp
+                near = (q + far) / 2
+                for z in (far, near):
+                    assert (f.apply(z) - f.apply(q)) / (z - q) == slope
+                # a canonical map bends at every breakpoint but the nominal
+                # one of an affine map, so the slope changes just beyond
+                # the one reported
+                if bp is not None and not affine:
+                    after = [x for x in beyond if x != bp]
+                    z = (bp + sign if not after else
+                         (bp + (min(after) if right else max(after))) / 2)
+                    assert (f.apply(z) - f.apply(bp)) / (z - bp) != slope
