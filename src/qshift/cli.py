@@ -120,6 +120,14 @@ def cmd_props(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def nonnegative(text: str) -> int:
+    """argparse type for a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qshift",
@@ -129,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the recursion, write a trace")
     p.add_argument("--stream", required=True, help="stream spec JSON file")
-    p.add_argument("--steps", type=int, required=True, help="last step index")
+    p.add_argument("--steps", type=nonnegative, required=True,
+                   help="last step index")
     p.add_argument("--out", required=True, help="trace output path")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; ignored")
@@ -146,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True,
                    help="instance JSON file (bundled name or path)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100,
+    p.add_argument("--cases", type=nonnegative, default=100,
                    help="samples per sampled check")
     p.set_defaults(fn=cmd_theorem)
 
     p = sub.add_parser("props", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=nonnegative, default=200)
     p.set_defaults(fn=cmd_props)
 
     return parser

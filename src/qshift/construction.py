@@ -103,6 +103,13 @@ class EStream:
     def __len__(self):
         return len(self.increments)
 
+    def increment(self, n: int) -> NDSet:
+        """Increment n, so that level n is level n-1 united with it; empty
+        past the last increment."""
+        if n < 0:
+            raise ValueError("increment index must be nonnegative")
+        return self.increments[n] if n < len(self.increments) else EMPTY_NDSET
+
     def level(self, n: int) -> NDSet:
         if n < 0:
             raise ValueError("level index must be nonnegative")
@@ -139,6 +146,25 @@ def _merge_closed(intervals: Sequence[Tuple[Q, Q]]) -> List[Tuple[Q, Q]]:
     return out
 
 
+def _members_missing(c_fix: NDSet, c_move: NDSet) -> List[Q]:
+    """The members of ``c_fix`` that ``c_move`` lacks, among its points
+    and the leading six terms of each of its tails that is not a final
+    segment of a tail of ``c_move`` (same limit and ratio, its head term
+    a term there).
+
+    Exact for points and final segments; the other tails are only
+    sampled, so an empty result does not prove containment for them.
+    """
+    missing = [p for p in c_fix.points if not c_move.contains(p)]
+    for t in c_fix.tails:
+        head = t.limit + t.coeff
+        if not any(s is t or s.limit == t.limit and s.ratio == t.ratio
+                   and s.contains(head) for s in c_move.tails):
+            missing.extend(q for q in map(t.term, range(6))
+                           if not c_move.contains(q))
+    return missing
+
+
 def evacuate(c_fix: NDSet, c_move: NDSet,
              blocked: Sequence[Tuple[Q, Q]]) -> PLMap:
     """Map fixing ``c_fix`` pointwise whose image of ``c_move`` is
@@ -155,10 +181,10 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
         w = c_fix.closure_meets_closed(a, b)
         if w is not None:
             raise EvacuationError(w, (a, b))
-    for p in c_fix.sample_points(6):
-        if not c_move.contains(p):
-            raise ValueError(
-                f"set to fix is not part of the moving set: {rat_str(p)}")
+    missing = _members_missing(c_fix, c_move)
+    if missing:
+        raise ValueError(
+            f"set to fix is not part of the moving set: {rat_str(min(missing))}")
     merged_blocked = _merge_closed(blocked)
     if not any(c_move.closure_meets_closed(a, b) is not None
                for a, b in merged_blocked):
@@ -245,14 +271,18 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
     if upto < 0:
         raise ValueError("step count must be nonnegative")
     sigma = PLMap.identity()
+    shifted = stream.level(0)
     blocked: List[Tuple[Q, Q]] = []
     steps: List[ShiftStep] = []
     for n in range(upto + 1):
-        shifted = stream.level(n).image(sigma)
+        # pi_{n-1} fixes sigma_{n-1}``E_{n-1}, so sigma_n``E_{n-1} is the
+        # previous shifted set and only the increment needs imaging
+        if n:
+            shifted = shifted.union(stream.increment(n).image(sigma))
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
         blocked.append((gap.lower, gap.upper))
-        moving = stream.level(n + 1).image(sigma)
+        moving = shifted.union(stream.increment(n + 1).image(sigma))
         pi = evacuate(shifted, moving, blocked)
         sigma = pi.compose(sigma)
         steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
@@ -278,7 +308,11 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream,
     fixes its shifted set pointwise, and every shifted set is
     closure-disjoint from every recorded closed gap.  All checks go
     through membership oracles; nothing from the construction's internal
-    choices is trusted.  ``jobs`` is accepted for compatibility and
+    choices is trusted.  Shifted set n is derived as shifted set n-1
+    united with the image of increment n while every step index so far is
+    right and every earlier map fixes its replayed set (the identity the
+    construction uses, now proven for this trace), and as the image of
+    level n otherwise.  ``jobs`` is accepted for compatibility and
     ignored: the replay is sequential.
     """
     report = Report()
@@ -288,7 +322,12 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream,
     for step in trace.steps:
         n = step.n
         chained &= report.add("step-index", n == len(shifted), n)
-        derived = stream.level(n).image(sigma)
+        if chained and shifted:
+            # every earlier pi_m fixed its shifted set exactly, so
+            # sigma_n``E_{n-1} is the previous replayed set
+            derived = shifted[-1].union(stream.increment(n).image(sigma))
+        else:
+            derived = stream.level(n).image(sigma)
         shifted.append(derived)
         report.add("shifted-matches", derived == step.shifted, n)
         report.add("interval-enumeration",

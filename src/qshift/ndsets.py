@@ -199,6 +199,32 @@ _AP_MODULUS_CAP = 1 << 20
 _HEAD_CAP = 5000
 
 
+def _held_points(pts, tails) -> set:
+    """The points of the sorted sequence that lie on one of the tails; a
+    point is tested only against the tails whose hull contains it."""
+    held = set()
+    for t in tails:
+        for p in pts[bisect_left(pts, t.lo):bisect_right(pts, t.hi)]:
+            if t.contains(p):
+                held.add(p)
+    return held
+
+
+def _extend_through(t: GeomTail, mine: "NDSet", theirs: "NDSet") -> GeomTail:
+    """A tail of the normalized set ``mine`` extended backwards through the
+    members of ``mine`` and ``theirs`` it abuts; ``t`` itself when its
+    previous term is not a member of ``theirs``, because it is not one of
+    ``mine`` (the tail already reaches back through all of them)."""
+    prev = t.limit + t.coeff / t.ratio
+    if not theirs.contains(prev):
+        return t
+    coeff = t.coeff
+    while theirs.contains(prev) or mine.contains(prev):
+        coeff = coeff / t.ratio
+        prev = t.limit + coeff / t.ratio
+    return GeomTail(t.limit, coeff, t.ratio)
+
+
 class NDSet:
     """Finite points plus geometric tails, in a normalized presentation.
 
@@ -235,16 +261,20 @@ class NDSet:
                          else GeomTail(t.limit, coeff, t.ratio))
         tl = tuple(sorted(extended, key=GeomTail._key))
         pts = sorted(given)
-        # drop the points a tail holds, including those absorbed above;
-        # a point is tested only against the tails whose hull contains it
-        covered = set()
-        for t in tl:
-            for p in pts[bisect_left(pts, t.lo):bisect_right(pts, t.hi)]:
-                if t.contains(p):
-                    covered.add(p)
+        # drop the points a tail holds, including those absorbed above
+        covered = _held_points(pts, tl)
         object.__setattr__(self, "points",
                            tuple(p for p in pts if p not in covered))
         object.__setattr__(self, "tails", tl)
+
+    @classmethod
+    def _normalized(cls, points: Tuple[Q, ...],
+                    tails: Tuple[GeomTail, ...]) -> "NDSet":
+        """Wrap parts that already form a normalized presentation."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "points", points)
+        object.__setattr__(out, "tails", tails)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("NDSet is immutable")
@@ -287,7 +317,27 @@ class NDSet:
     # -- algebra --------------------------------------------------------
 
     def union(self, other: "NDSet") -> "NDSet":
-        return NDSet(self.points + other.points, self.tails + other.tails)
+        """Merge of two normalized presentations; equal to
+        ``NDSet(self.points + other.points, self.tails + other.tails)``.
+
+        Each side's tails already reach back through all of that side's
+        members, so a tail can only grow through a member of the other
+        side, and a point can only become covered by a tail of the other
+        side or by a tail of its own side that grew.
+        """
+        if other.is_empty:
+            return self
+        if self.is_empty:
+            return other
+        mine = [_extend_through(t, self, other) for t in self.tails]
+        theirs = [_extend_through(t, other, self) for t in other.tails]
+        covered = _held_points(self.points, theirs + [
+            t for t, old in zip(mine, self.tails) if t is not old])
+        covered |= _held_points(other.points, mine + [
+            t for t, old in zip(theirs, other.tails) if t is not old])
+        points = sorted({*self.points, *other.points} - covered)
+        return NDSet._normalized(
+            tuple(points), tuple(sorted({*mine, *theirs}, key=GeomTail._key)))
 
     def image(self, f: PLMap) -> "NDSet":
         """Exact image under an increasing piecewise-linear bijection."""

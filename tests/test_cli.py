@@ -206,3 +206,18 @@ def test_head_drop_bounded_at_parse_time(tmp_path, capsys):
         {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": 40}]}]}))
     assert run_cli("construct", "--stream", str(ok), "--steps", "1",
                    "--out", str(tmp_path / "t.json")) == 0
+
+
+def test_negative_counts_rejected_at_parse_time(tmp_path):
+    out = tmp_path / "trace.json"
+    for argv in (["construct", "--stream", str(SPECS / "empty.json"),
+                  "--steps", "-1", "--out", str(out)],
+                 ["props", "--cases", "-1"],
+                 ["theorem", "--stream", "theorem_identity.json",
+                  "--cases", "-3"]):
+        proc = subprocess.run([sys.executable, "-m", "qshift.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, argv
+        assert "must be nonnegative" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.exists()

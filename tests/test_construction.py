@@ -11,7 +11,9 @@ from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
                            ndset_points)
 from qshift.plmaps import PLMap
 from qshift.rationals import Interval, Q, rat_str
-from qshift.sampling import rng_interval, rng_ndset
+from qshift.sampling import (rng_geomtail, rng_interval, rng_ndset,
+                             rng_rational)
+from qshift.subgroups import fix_violation
 
 
 def test_rational_enum_prefix():
@@ -269,3 +271,134 @@ def test_gap_sweep_matches_quadratic_oracle():
             assert got == want
             hits += any("contains" in detail for _, detail in want)
     assert hits >= len(streams)  # the corrupted gaps were caught
+
+
+# -- the incremental recursion and verifier against from-scratch replays ---
+
+def tail_streams(rng, count, length):
+    """Streams of one random point and one random tail per increment."""
+    return [EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                     for _ in range(length)]) for _ in range(count)]
+
+
+def test_recorded_shifted_sets_are_whole_level_images():
+    for s in tail_streams(Random(12), 6, 8):
+        trace = run_shift_construction(s, 7)
+        sigmas = trace.sigmas
+        for n, step in enumerate(trace.steps):
+            assert step.shifted == s.level(n).image(sigmas[n])
+            # each later map fixed it: sigma_n``E_k is shifted_k for k <= n
+            for k in range(n):
+                assert s.level(k).image(sigmas[n]) == trace.steps[k].shifted
+
+
+def scratch_replay_records(trace, stream):
+    """Reference verifier: every shifted set re-derived as the image of
+    its whole level, every gap checked against every shifted set; records
+    as (check, n, ok, detail) in report order."""
+    out = []
+    sigma = PLMap.identity()
+    for i, step in enumerate(trace.steps):
+        n = step.n
+        derived = stream.level(n).image(sigma)
+        moved = fix_violation(step.pi, derived)
+        out += [("step-index", n, n == i, ""),
+                ("shifted-matches", n, derived == step.shifted, ""),
+                ("interval-enumeration", n,
+                 step.interval == canonical_interval(n), ""),
+                ("gap-in-interval", n,
+                 step.interval.contains_open(step.gap), ""),
+                ("fixes-shifted", n, moved is None,
+                 "pi_n in Fix(shifted_n)" if moved is None
+                 else f"pi_n moves {rat_str(moved)}")]
+        sigma = step.pi.compose(sigma)
+        out.append(("sigma-telescoping", n, sigma == step.sigma_next, ""))
+    out += [("gap-disjoint", m, " contains " not in detail, detail)
+            for m, detail in quadratic_gap_records(trace, stream)]
+    return out
+
+
+def test_verifier_matches_scratch_replay():
+    rng = Random(99)
+    streams = tail_streams(rng, 5, 7)
+    streams.append(EStream([ndset_points(rational_enum(i)) for i in range(7)]))
+    unfixed = 0
+    for s in streams:
+        trace = run_shift_construction(s, 5)
+        for steps in [list(trace.steps)] + list(_mutations(trace, rng)):
+            t = ShiftTrace(steps)
+            got = [(c.name, c.index, c.ok, c.detail)
+                   for c in verify_shift_trace(t, s).checks]
+            want = scratch_replay_records(t, s)
+            assert got == want
+            # a map that moves its shifted set before the last step sends
+            # the later derivations down the whole-level path
+            unfixed += any(name == "fixes-shifted" and not ok
+                           for name, _, ok, _ in want[:-6 - len(steps) ** 2])
+    assert unfixed >= len(streams)
+
+
+# -- the evacuate precondition ------------------------------------------------
+
+def sampled_precondition_failure(c_fix, c_move):
+    """Reference precondition: the first of the points and leading six
+    terms per tail of c_fix, in order, that c_move lacks; None if none."""
+    return next((p for p in c_fix.sample_points(6) if not c_move.contains(p)),
+                None)
+
+
+def test_evacuate_fixes_final_segment_of_moving_tail():
+    c_fix = NDSet(tails=[GeomTail(0, Q(1, 4), Q(1, 2))])
+    c_move = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
+    blocked = [(Q(3, 8), Q(5, 8))]  # holds the moving term 1/2
+    pi = evacuate(c_fix, c_move, blocked)
+    assert fix_violation(pi, c_fix) is None
+    assert c_move.image(pi).closure_meets_closed(*blocked[0]) is None
+
+
+def test_evacuate_rejects_foreign_fixed_tail():
+    half = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
+    for tail, first in ((GeomTail(0, 1, Q(1, 3)), Q(1, 243)),  # other ratio
+                        (GeomTail(0, 3, Q(1, 2)), Q(3, 32)),   # other coset
+                        (GeomTail(0, 2, Q(1, 2)), Q(2)),       # past the head
+                        (GeomTail(1, 1, Q(1, 2)), Q(33, 32))):  # other limit
+        with pytest.raises(ValueError) as err:
+            evacuate(NDSet(tails=[tail]), half, [(Q(5), Q(6))])
+        assert not isinstance(err.value, EvacuationError)
+        assert str(err.value).endswith(f": {rat_str(first)}"), tail
+
+
+def test_evacuate_accepts_tail_covered_by_power_ratio_tails():
+    # {1/2^k} is the union of {1/4^k} and {1/2 * 1/4^k}: no moving tail
+    # holds it as a final segment, so the sampled terms decide
+    c_fix = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
+    c_move = NDSet(tails=[GeomTail(0, 1, Q(1, 4)), GeomTail(0, Q(1, 2), Q(1, 4))])
+    assert evacuate(c_fix, c_move, [(Q(2), Q(3))]).is_identity
+
+
+def test_evacuate_precondition_matches_sampled_reference():
+    rng = Random(404)
+    rejected = 0
+    for _ in range(300):
+        c_move = rng_ndset(rng, max_points=3, max_tails=3)
+        points = [p for p in c_move.points if rng.random() < 0.7]
+        tails = [GeomTail(t.limit, t.coeff, t.ratio,
+                          head_drop=rng.randint(0, 2))
+                 for t in c_move.tails if rng.random() < 0.7]
+        if rng.random() < 0.3:
+            points.append(rng_rational(rng))
+        if rng.random() < 0.3:
+            t = rng.choice(tails or [rng_geomtail(rng)])
+            tails.append(GeomTail(t.limit, t.coeff / t.ratio, t.ratio))
+        if rng.random() < 0.2:
+            tails.append(rng_geomtail(rng))
+        c_fix = NDSet(points, tails)
+        first = sampled_precondition_failure(c_fix, c_move)
+        if first is None:
+            evacuate(c_fix, c_move, [])
+        else:
+            rejected += 1
+            with pytest.raises(ValueError,
+                               match=f"moving set: {rat_str(first)}$"):
+                evacuate(c_fix, c_move, [])
+    assert 30 <= rejected <= 270, rejected

@@ -480,3 +480,49 @@ def test_tail_cover_aps_match_term_walks():
                 assert len(aps) == 1 and aps[0][1] == power
                 for k in range(30):
                     assert covered_by_aps(aps, k) == s.contains(t.term(k))
+
+
+# -- union merges two normalized presentations -----------------------------
+
+def union_pair(rng):
+    """Two sets dealt out of one entangled presentation, so tails of one
+    side often abut members of the other; some parts go to both."""
+    points, tails = entangled_presentation(rng)
+    sides = ([], []), ([], [])
+    for part, kind in [(p, 0) for p in points] + [(t, 1) for t in tails]:
+        for side in rng.choice(((0,), (1,), (0, 1))):
+            sides[side][kind].append(part)
+    return NDSet(*sides[0]), NDSet(*sides[1])
+
+
+def test_union_examples():
+    half = GeomTail(0, 1, Q(1, 2))
+    e = NDSet([5], [half])
+    assert e.union(EMPTY_NDSET) is e and EMPTY_NDSET.union(e) is e
+    assert e.union(NDSet([5], [half])) == e
+    # grows through the other side's point 2, then through its own point 4
+    u = NDSet([4], [half]).union(ndset_points(2))
+    assert u.points == () and u.tails == (GeomTail(0, 4, Q(1, 2)),)
+    # grows through a term of the other side's tail (3 - 1 = 2)
+    u = NDSet(tails=[half]).union(NDSet(tails=[GeomTail(3, -1, Q(1, 3))]))
+    assert GeomTail(0, 2, Q(1, 2)) in u.tails
+    # a head term listed as a point on the other side is absorbed
+    u = NDSet(tails=[half]).union(ndset_points(1, Q(1, 3)))
+    assert u.points == (Q(1, 3),) and u.tails == (half,)
+
+
+def test_union_matches_from_scratch_normalization():
+    rng = Random(5150)
+    grew = absorbed = 0
+    for _ in range(400):
+        a, b = union_pair(rng)
+        if rng.random() < 0.1:
+            a = EMPTY_NDSET
+        want = NDSet(a.points + b.points, a.tails + b.tails)
+        got = a.union(b)
+        assert got._key() == want._key(), (a, b)
+        assert b.union(a)._key() == want._key(), (a, b)
+        grew += not set(got.tails) <= set(a.tails + b.tails)
+        absorbed += len(got.points) < len(set(a.points + b.points))
+    # the grown-tail and absorbed-point paths were both exercised
+    assert grew >= 20 and absorbed >= 20, (grew, absorbed)
