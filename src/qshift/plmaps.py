@@ -63,12 +63,25 @@ class PLMap:
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must increase in both coordinates")
         bps, seg = _canonicalize(bps, ls, rs)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "left_slope", ls)
-        object.__setattr__(self, "right_slope", rs)
-        object.__setattr__(self, "_xs", tuple(x for x, _ in bps))
-        object.__setattr__(self, "_ys", tuple(y for _, y in bps))
-        object.__setattr__(self, "_slopes", seg)
+        self._fill(tuple(x for x, _ in bps), tuple(y for _, y in bps), seg)
+
+    def _fill(self, xs, ys, slopes) -> "PLMap":
+        put = object.__setattr__
+        put(self, "breakpoints", tuple(zip(xs, ys)))
+        put(self, "left_slope", slopes[0])
+        put(self, "right_slope", slopes[-1])
+        put(self, "_xs", xs)
+        put(self, "_ys", ys)
+        put(self, "_slopes", slopes)
+        return self
+
+    @staticmethod
+    def _trusted(xs, ys, slopes) -> "PLMap":
+        """A map from tables that are already canonical, unchecked:
+        increasing ``Q`` inputs and outputs, and piece slopes as in
+        ``_slopes``.  Internal results only; input from outside goes
+        through ``PLMap(...)``."""
+        return object.__new__(PLMap)._fill(xs, ys, slopes)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
@@ -77,7 +90,7 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap(((0, 0),))
+        return _IDENTITY
 
     @staticmethod
     def translation(offset) -> "PLMap":
@@ -142,19 +155,94 @@ class PLMap:
     # -- group structure ----------------------------------------------
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self after other: (self.compose(other))(q) == self(other(q))."""
-        # breakpoints of either map, read off their tables where possible:
-        # other's inputs through self, and self's inputs pulled back
-        pts = {x: self.apply(y) for x, y in other.breakpoints}
-        for x, y in self.breakpoints:
-            pts[other.apply_inverse(x)] = y
-        return PLMap(sorted(pts.items()),
-                     self.left_slope * other.left_slope,
-                     self.right_slope * other.right_slope)
+        """self after other: (self.compose(other))(q) == self(other(q)).
+
+        One ordered pass over other's outputs and self's inputs, which
+        meet in the middle coordinate.  A composite piece's slope is the
+        product of the two piece slopes, and a point is kept only where
+        that slope changes.  Where self is the identity on a piece, other's
+        breakpoints inside it are copied with their slopes, unevaluated.
+        """
+        fx, fy, fs = self._xs, self._ys, self._slopes
+        gx, gy, gs = other._xs, other._ys, other._slopes
+        nf, ng = len(fx), len(gx)
+        xs, zs, slopes = [], [], [fs[0] * gs[0]]
+        lo = 0
+        for i in range(nf + 1):
+            # other's breakpoints with outputs in piece i of self, short
+            # of its right end
+            hi = bisect_left(gy, fx[i], lo) if i < nf else ng
+            j = i - 1 if i else 0
+            s, ax, ay = fs[i], fx[j], fy[j]
+            if lo < hi and s == 1 and ax == ay:
+                # other is canonical, so only the first copied point can
+                # be collinear with what precedes it
+                x, z = gx[lo], gy[lo]
+                if gs[lo + 1] != slopes[-1]:
+                    xs.append(x)
+                    zs.append(z)
+                    slopes.append(gs[lo + 1])
+                xs += gx[lo + 1:hi]
+                zs += gy[lo + 1:hi]
+                slopes += gs[lo + 2:hi + 1]
+            else:
+                for k in range(lo, hi):
+                    x, z, t = gx[k], ay + s * (gy[k] - ax), s * gs[k + 1]
+                    if t != slopes[-1]:
+                        xs.append(x)
+                        zs.append(z)
+                        slopes.append(t)
+            if i == nf:
+                break
+            # self's breakpoint i, pulled back through other
+            u, z = fx[i], fy[i]
+            if hi < ng and gy[hi] == u:
+                x, lo = gx[hi], hi + 1
+            else:
+                a = hi - 1 if hi else 0
+                x, lo = gx[a] + (u - gy[a]) / gs[hi], hi
+            t = fs[i + 1] * gs[lo]
+            if t != slopes[-1]:
+                xs.append(x)
+                zs.append(z)
+                slopes.append(t)
+        if not xs:
+            # affine: every candidate (x, z) lies on one line
+            s = slopes[0]
+            return PLMap._trusted((Q(0),), (z - s * x,), (s, s))
+        return PLMap._trusted(tuple(xs), tuple(zs), tuple(slopes))
 
     def invert(self) -> "PLMap":
-        bps = tuple((y, x) for x, y in self.breakpoints)
-        return PLMap(bps, 1 / self.left_slope, 1 / self.right_slope)
+        # slopes invert piece by piece, so the table stays canonical;
+        # only an affine map's nominal breakpoint must move back to input 0
+        xs, ys = self._xs, self._ys
+        slopes = tuple(1 / s for s in self._slopes)
+        if len(xs) == 1 and slopes[0] == slopes[1]:
+            return PLMap._trusted((Q(0),), (xs[0] - slopes[0] * ys[0],),
+                                  slopes)
+        return PLMap._trusted(ys, xs, slopes)
+
+    def first_moved(self, points: Sequence[Q]) -> Optional[Q]:
+        """The first of the increasing ``points`` that the map moves, or
+        None.  Points in a piece on which the map is the identity are
+        skipped by bisection, unevaluated."""
+        xs, ys, slopes = self._xs, self._ys, self._slopes
+        k, m = 0, len(points)
+        while k < m:
+            p = points[k]
+            i = bisect_right(xs, p)
+            j = i - 1 if i else 0
+            s = slopes[i]
+            if s == 1 and xs[j] == ys[j]:
+                k = bisect_left(points, xs[i], k + 1) if i < len(xs) else m
+            elif ys[j] + s * (p - xs[j]) != p:
+                return p
+            else:
+                k += 1
+        return None
+
+
+_IDENTITY = PLMap(((0, 0),))
 
 
 def compose_all(maps: Sequence[PLMap]) -> PLMap:

@@ -295,9 +295,12 @@ def instance_from_obj(o: Any):
 
 
 def write_json_file(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canon_dumps(obj))
-        fh.write("\n")
+    text = canon_dumps(obj) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _fail(f"cannot write {path}: {exc}") from exc
 
 
 def read_json_file(path: str) -> Any:

@@ -137,9 +137,9 @@ def fix_violation(f: PLMap, support: NDSet):
     the terms' side) is the identity and the finitely many terms outside
     that piece are fixed individually.
     """
-    for p in support.points:
-        if f.apply(p) != p:
-            return p
+    p = f.first_moved(support.points)
+    if p is not None:
+        return p
     for t in support.tails:
         k0, slope = tail_final_piece(f, t)
         if slope != 1 or f.apply(t.term(k0)) != t.term(k0):

@@ -1,0 +1,53 @@
+"""Shared fixtures: the compiled rational kernel, built when missing.
+
+Both kernels are tested in every run.  When ``qshift._qarith._speedups``
+is not importable (a plain checkout run with ``PYTHONPATH=src``), the
+committed ``_speedups.c`` is compiled into the pytest cache, keyed by the
+source's digest, and loaded from there by path.  A failed build fails
+the tests that need the kernel; it never skips them.
+"""
+
+import hashlib
+import importlib.machinery
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "qshift" / "_qarith" / "_speedups.c"
+MODULE = "qshift._qarith._speedups"
+
+
+def _build(out: Path) -> Path:
+    so = out / "qshift" / "_qarith" / (
+        "_speedups" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not so.is_file():
+        # setup.py marks the extension optional, so a failed compile still
+        # exits 0: the built file is what tells
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+             "--build-temp", str(out / "tmp")],
+            cwd=ROOT, capture_output=True, text=True)
+        if not so.is_file():
+            pytest.fail("building the compiled kernel failed:\n"
+                        + proc.stdout + proc.stderr, pytrace=False)
+    return so
+
+
+@pytest.fixture(scope="session")
+def speedups(request):
+    """The compiled kernel module, built from the committed C source into
+    the pytest cache when it is not importable."""
+    try:
+        return importlib.import_module(MODULE)
+    except ImportError:
+        pass
+    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
+    out = Path(request.config.cache.mkdir(f"qshift-speedups-{digest}"))
+    spec = importlib.util.spec_from_file_location(MODULE, _build(out))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

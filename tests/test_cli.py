@@ -221,3 +221,15 @@ def test_negative_counts_rejected_at_parse_time(tmp_path):
         assert "must be nonnegative" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
+
+
+def test_unwritable_out_is_input_error(tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qshift.cli", "construct",
+         "--stream", str(SPECS / "empty.json"), "--steps", "1",
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: cannot write")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -1,7 +1,12 @@
 """Conformance between the compiled rational kernel and the pure
 fallback, which is stdlib Fraction."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import resources
 from random import Random
 
 import pytest
@@ -9,14 +14,10 @@ import pytest
 from qshift._qarith import BACKEND
 from qshift._qarith.pure import Q as PureQ
 
-try:
-    from qshift._qarith._speedups import Q as FastQ
-    HAVE_SPEEDUPS = True
-except ImportError:
-    HAVE_SPEEDUPS = False
 
-needs_speedups = pytest.mark.skipif(not HAVE_SPEEDUPS,
-                                    reason="compiled kernel not built")
+@pytest.fixture
+def FastQ(speedups):
+    return speedups.Q
 
 
 def test_backend_reports_something_sane():
@@ -27,8 +28,7 @@ def test_pure_backend_is_fraction():
     assert PureQ is Fraction
 
 
-@needs_speedups
-def test_construction_and_normalization():
+def test_construction_and_normalization(FastQ):
     assert (FastQ(6, 4).numerator, FastQ(6, 4).denominator) == (3, 2)
     assert (FastQ(-6, -4).numerator, FastQ(-6, -4).denominator) == (3, 2)
     assert (FastQ(6, -4).numerator, FastQ(6, -4).denominator) == (-3, 2)
@@ -40,8 +40,7 @@ def test_construction_and_normalization():
         FastQ(1.5)
 
 
-@needs_speedups
-def test_random_op_conformance():
+def test_random_op_conformance(FastQ):
     rng = Random(101)
 
     def pair(a, b):
@@ -69,8 +68,7 @@ def test_random_op_conformance():
             assert (pa == pb) == (fa == fb)
 
 
-@needs_speedups
-def test_int_mixing():
+def test_int_mixing(FastQ):
     f = FastQ(3, 2)
     assert f + 1 == FastQ(5, 2) and 1 + f == FastQ(5, 2)
     assert f - 2 == FastQ(-1, 2) and 2 - f == FastQ(1, 2)
@@ -81,8 +79,7 @@ def test_int_mixing():
     assert bool(FastQ(0)) is False and bool(f) is True
 
 
-@needs_speedups
-def test_powers():
+def test_powers(FastQ):
     assert FastQ(2, 3) ** 3 == FastQ(8, 27)
     assert FastQ(2, 3) ** 0 == FastQ(1)
     assert FastQ(2, 3) ** -2 == FastQ(9, 4)
@@ -97,8 +94,7 @@ def test_powers():
             assert str(FastQ(-3, 5) ** n) == str(PureQ(-3, 5) ** n)
 
 
-@needs_speedups
-def test_sorting_and_sets():
+def test_sorting_and_sets(FastQ):
     rng = Random(55)
     raw = [(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(200)]
     pure_sorted = sorted(PureQ(a, b) for a, b in raw)
@@ -108,9 +104,6 @@ def test_sorting_and_sets():
 
 
 def test_forced_backend_env():
-    import os
-    import subprocess
-    import sys
     code = ("from qshift._qarith import BACKEND, Q; "
             "print(BACKEND); print(Q(6, 4))")
     out = subprocess.run([sys.executable, "-c", code],
@@ -118,3 +111,46 @@ def test_forced_backend_env():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["pure", "3/2"]
+
+
+# Runs qshift commands in one interpreter: argv[1] is the compiled
+# kernel's file ('' for none), argv[2] a JSON list of command lines.
+RUNNER = """
+import importlib.util, json, sys
+path, argvs = sys.argv[1], json.loads(sys.argv[2])
+if path:
+    spec = importlib.util.spec_from_file_location(
+        "qshift._qarith._speedups", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module
+from qshift._qarith import BACKEND
+from qshift.cli import main
+print(BACKEND)
+for argv in argvs:
+    print(main(argv))
+"""
+
+
+def test_cli_bytes_identical_across_backends(speedups, tmp_path):
+    specs = resources.files("qshift").joinpath("specs")
+    outputs = {}
+    for backend, path in (("pure", ""), ("speedups", speedups.__file__)):
+        out = tmp_path / backend
+        out.mkdir()
+        argvs = [["construct", "--stream", str(specs / name), "--steps",
+                  "10", "--out", str(out / name)]
+                 for name in ("empty.json", "dense_singletons.json",
+                              "tail_start.json")]
+        argvs.append(["props", "--cases", "20"])
+        proc = subprocess.run(
+            [sys.executable, "-c", RUNNER, path, json.dumps(argvs)],
+            env=dict(os.environ, QSHIFT_BACKEND=backend),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        first, rest = proc.stdout.split("\n", 1)
+        assert first == backend
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        outputs[backend] = (rest.replace(str(out), "OUT"), files)
+    assert len(outputs["pure"][1]) == 3
+    assert outputs["pure"] == outputs["speedups"]

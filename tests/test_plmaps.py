@@ -3,9 +3,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshift.construction import (EStream, rational_enum,
+                                 run_shift_construction)
+from qshift.ndsets import NDSet, ndset_points
 from qshift.plmaps import OrderInconsistentTargets, PLMap, squeeze_map
 from qshift.rationals import Interval, Q
-from qshift.sampling import rng_plmap, rng_rational
+from qshift.sampling import (bump_in_gap, rng_distinct_rationals,
+                             rng_geomtail, rng_plmap, rng_rational)
 
 
 def test_apply_identity_and_translation():
@@ -193,3 +197,127 @@ def test_piece_beside_matches_apply():
                     z = (bp + sign if not after else
                          (bp + (min(after) if right else max(after))) / 2)
                     assert (f.apply(z) - f.apply(bp)) / (z - bp) != slope
+
+
+def compose_oracle(f, g):
+    """Composition by evaluation: f at every breakpoint of g and every
+    breakpoint of f pulled back through g, sorted and canonicalized by
+    the public constructor."""
+    pts = {x: f.apply(y) for x, y in g.breakpoints}
+    for x, y in f.breakpoints:
+        pts[g.apply_inverse(x)] = y
+    return PLMap(sorted(pts.items()), f.left_slope * g.left_slope,
+                 f.right_slope * g.right_slope)
+
+
+def assert_public(h):
+    """h is what the public, checking constructor makes of its own table."""
+    assert all(isinstance(v, Q) for bp in h.breakpoints for v in bp)
+    assert isinstance(h.left_slope, Q) and isinstance(h.right_slope, Q)
+    assert PLMap(h.breakpoints, h.left_slope, h.right_slope) == h
+
+
+def assert_compose_matches(f, g):
+    h = f.compose(g)
+    assert_public(h)
+    assert h == compose_oracle(f, g), (f, g)
+
+
+def random_squeeze(rng):
+    """A squeeze map on a random cover with one or two targets."""
+    c, *inner, d = rng_distinct_rationals(rng, 6, 10)
+    gap1, gap2 = Interval(inner[0], inner[1]), Interval(inner[2], inner[3])
+    # blocked intervals inside the cover, in the same order as the gaps
+    w = (d - c) / 8
+    if rng.random() < 0.5:
+        return squeeze_map(Interval(c, d), [((c + w, c + w), gap1)])
+    return squeeze_map(Interval(c, d), [((c + w, c + 2 * w), gap1),
+                                        ((c + 5 * w, c + 6 * w), gap2)])
+
+
+def bump_product(rng):
+    m = PLMap.identity()
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng_distinct_rationals(rng, 2, 10)
+        m = m.compose(bump_in_gap(Interval(a, b), rng))
+    return m
+
+
+def test_compose_identity_pieces_match_oracle():
+    rng = Random(4242)
+    affine = [PLMap.identity(), PLMap.translation(Q(3, 2)), PLMap.scaling(3),
+              PLMap.affine(Q(1, 2), -2), PLMap.affine(2, 5)]
+    maps = affine + [bump_product(rng) for _ in range(12)]
+    maps += [random_squeeze(rng) for _ in range(12)]
+    maps += [rng_plmap(rng) for _ in range(6)]
+    for f in maps:
+        for g in maps:
+            assert_compose_matches(f, g)
+    for f in maps:
+        assert f.compose(PLMap.identity()) == f
+        assert PLMap.identity().compose(f) == f
+        assert f.compose(f.invert()) == PLMap.identity()
+
+
+def test_compose_affine_other_keeps_nominal_breakpoint_off_table():
+    # other's nominal breakpoint (0, 5) falls inside an identity piece of
+    # self, and is not a breakpoint of the composite
+    bump = PLMap([(10, 10), (11, 12), (13, 13)])
+    h = bump.compose(PLMap.translation(5))
+    assert h == compose_oracle(bump, PLMap.translation(5))
+    assert h.breakpoints == ((Q(5), Q(10)), (Q(6), Q(12)), (Q(8), Q(13)))
+    # identity after translation: one pinned breakpoint at input 0
+    t = PLMap.identity().compose(PLMap.affine(2, 5))
+    assert t.breakpoints == ((Q(0), Q(5)),)
+    assert_public(t)
+
+
+def _tail_stream(seed, steps):
+    rng = Random(f"tail:{seed}")
+    return EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                    for _ in range(steps + 2)])
+
+
+def test_compose_matches_oracle_on_recorded_recursion_maps():
+    streams = [_tail_stream(seed, 8) for seed in (1, 2, 3)]
+    streams.append(EStream([ndset_points(rational_enum(i))
+                            for i in range(24)]))
+    compared = 0
+    for stream in streams:
+        trace = run_shift_construction(stream, len(stream.increments) - 2)
+        sigma = PLMap.identity()
+        for step in trace.steps:
+            assert_compose_matches(step.pi, sigma)
+            assert_compose_matches(sigma, step.pi)
+            assert_compose_matches(step.pi.invert(), sigma)
+            sigma = step.pi.compose(sigma)
+            assert sigma == step.sigma_next
+            assert_public(step.pi.invert())
+            assert_public(sigma.invert())
+            compared += 1
+    assert compared >= 50
+
+
+def test_invert_affine_maps():
+    for f, want in ((PLMap.translation(3), PLMap.translation(-3)),
+                    (PLMap.scaling(4), PLMap.scaling(Q(1, 4))),
+                    (PLMap.affine(2, 5), PLMap.affine(Q(1, 2), Q(-5, 2))),
+                    (PLMap.identity(), PLMap.identity())):
+        g = f.invert()
+        assert g == want
+        assert g.breakpoints[0][0] == 0
+        assert_public(g)
+        assert g.invert() == f
+    rng = Random(77)
+    for _ in range(200):
+        f = rng_plmap(rng)
+        g = f.invert()
+        assert_public(g)
+        assert g == PLMap(tuple((y, x) for x, y in f.breakpoints),
+                          1 / f.left_slope, 1 / f.right_slope)
+
+
+def test_identity_is_shared():
+    assert PLMap.identity() is PLMap.identity()
+    assert PLMap.identity().is_identity
+

@@ -6,13 +6,14 @@ from qshift.construction import (EStream, rational_enum,
                                  run_shift_construction, witness_subgroup)
 from qshift.hfa import Atom, SetNode, atoms_support, in_sym
 from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
-                           ndset_points)
-from qshift.plmaps import PLMap
-from qshift.rationals import Q
-from qshift.sampling import fix_members, rng_hfa, rng_ndset, rng_plmap
+                           ndset_points, tail_final_piece)
+from qshift.plmaps import PLMap, squeeze_map
+from qshift.rationals import Interval, Q
+from qshift.sampling import (fix_members, rng_hfa, rng_ndset, rng_plmap,
+                             rng_rational)
 from qshift.subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
                               ShiftProblem, Stab, check_shift_witness,
-                              fix_leq, member, normalize)
+                              fix_leq, fix_violation, member, normalize)
 
 
 def test_member_full_and_fix_basics():
@@ -161,3 +162,66 @@ def test_check_shift_witness_stab_groups_sampled():
 def test_shift_problem_validation():
     with pytest.raises(ValueError):
         ShiftProblem([FULL_GROUP], [PLMap.identity()] * 2, EMPTY_NDSET)
+
+
+def fix_violation_scan(f, support):
+    """Every point evaluated in order, then the tails: the reference for
+    fix_violation's witness."""
+    for p in support.points:
+        if f.apply(p) != p:
+            return p
+    for t in support.tails:
+        k0, slope = tail_final_piece(f, t)
+        if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
+            return t.term(k0)
+        for k in range(k0):
+            if f.apply(t.term(k)) != t.term(k):
+                return t.term(k)
+    return None
+
+
+def test_fix_violation_matches_full_scan():
+    rng = Random(1717)
+    outcomes = {"none": 0, "moved": 0, "on-breakpoint": 0}
+    for _ in range(600):
+        base = rng_ndset(rng)
+        kind = rng.random()
+        if kind < 0.4:
+            f = fix_members(base, rng, 1)[0]
+        elif kind < 0.7:
+            c, d = sorted({rng_rational(rng, 10), rng_rational(rng, 10)}
+                          | {Q(-11), Q(11)})[:2]
+            f = squeeze_map(Interval(c - 1, d + 1),
+                            [((c, d), Interval(c - 1, c - Q(1, 2)))])
+        else:
+            f = rng_plmap(rng)
+        xs = [x for x, _ in f.breakpoints]
+        # breakpoints (ends of identity pieces among them), points just
+        # inside and beyond them, and random points
+        extra = [x for x in xs if rng.random() < 0.5]
+        extra += [(x + y) / 2 for x, y in zip(xs, xs[1:])
+                  if rng.random() < 0.3]
+        extra += [xs[0] - 1, xs[-1] + 1][:rng.randint(0, 2)]
+        support = NDSet(list(base.points) + extra, base.tails)
+        got = fix_violation(f, support)
+        assert got == fix_violation_scan(f, support), (f, support)
+        if got is None:
+            outcomes["none"] += 1
+        else:
+            outcomes["moved"] += 1
+            outcomes["on-breakpoint"] += got in xs
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_first_moved_skips_identity_pieces():
+    bump = PLMap([(0, 0), (1, 2), (3, 3)])
+    pts = [Q(-5), Q(0), Q(3), Q(4), Q(7)]
+    assert bump.first_moved(pts) is None
+    assert bump.first_moved(sorted(pts + [Q(1)])) == Q(1)
+    # a piece with slope 1 that is not the identity moves every point
+    shift = PLMap([(0, 0), (1, 2), (2, 3)], 1, 1)
+    assert shift.first_moved([Q(-1), Q(0), Q(3, 2), Q(5)]) == Q(3, 2)
+    # the one fixed point of a non-identity piece is fixed
+    f = PLMap([(0, 0), (2, 4)], 1, 2)
+    assert f.first_moved([Q(0), Q(1)]) == Q(1)
+    assert f.first_moved([Q(-3), Q(0)]) is None
