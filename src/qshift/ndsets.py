@@ -352,6 +352,17 @@ class NDSet:
 
     # -- closure geometry ------------------------------------------------
 
+    def within(self, a, b) -> "NDSet":
+        """The part of the presentation that can meet [a, b]: the points
+        inside it and the tails whose hull meets it.  Its closure agrees
+        with this set's on [a, b], because a tail's closure lies in its
+        hull, and part of a normalized presentation is normalized."""
+        a, b = rat(a), rat(b)
+        pts = self.points
+        return NDSet._normalized(
+            pts[bisect_left(pts, a):bisect_right(pts, b)],
+            tuple(t for t in self.tails if t.lo <= b and a <= t.hi))
+
     def closure_meets_closed(self, a, b) -> Optional[Q]:
         """A closure point inside the closed interval [a, b], or None."""
         a, b = rat(a), rat(b)

@@ -26,9 +26,9 @@ class OrderInconsistentTargets(ValueError):
 
 
 def _canonicalize(bps, left_slope, right_slope):
-    """Kept breakpoints and the slopes of the pieces they bound: piece i
-    runs from breakpoint i-1 to breakpoint i, so the first and the last
-    piece are the rays."""
+    """The inputs and outputs of the kept breakpoints, and the slopes of
+    the pieces they bound: piece i runs from breakpoint i-1 to breakpoint
+    i, so the first and the last piece are the rays."""
     # slope sequence around each breakpoint; drop points where it does
     # not change
     n = len(bps)
@@ -41,9 +41,9 @@ def _canonicalize(bps, left_slope, right_slope):
     if not kept:
         # affine map: pin the nominal breakpoint at input 0
         x0, y0 = bps[0]
-        return ((Q(0), y0 - left_slope * x0),), (left_slope, right_slope)
+        return (Q(0),), (y0 - left_slope * x0,), (left_slope, right_slope)
     # the slope right of a kept point holds up to the next kept point
-    return (tuple(bps[i] for i in kept),
+    return (tuple(bps[i][0] for i in kept), tuple(bps[i][1] for i in kept),
             (left_slope,) + tuple(slopes[i + 1] for i in kept))
 
 
@@ -62,8 +62,7 @@ class PLMap:
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must increase in both coordinates")
-        bps, seg = _canonicalize(bps, ls, rs)
-        self._fill(tuple(x for x, _ in bps), tuple(y for _, y in bps), seg)
+        self._fill(*_canonicalize(bps, ls, rs))
 
     def _fill(self, xs, ys, slopes) -> "PLMap":
         put = object.__setattr__
@@ -293,7 +292,9 @@ def squeeze_map(cover: Interval,
         if not (x0 < x1 and y0 < y1):
             raise OrderInconsistentTargets(
                 f"images not increasing near ({rat_str(x0)}, {rat_str(y0)})")
-    return PLMap(tuple(bps))
+    # the check above is the public constructor's order check, and the
+    # ray slopes are 1, so only canonicalization is left to do
+    return PLMap._trusted(*_canonicalize(bps, Q(1), Q(1)))
 
 
 __all__ = ["PLMap", "compose_all", "squeeze_map", "OrderInconsistentTargets"]

@@ -226,13 +226,17 @@ def prop_ndset_equivariance(rng: Random, cases: int) -> Optional[dict]:
 
 def brute_scan_gap(e: NDSet, gap: Interval, max_den: int) -> Optional[Q]:
     """Exhaustively scan rationals with bounded denominator in the closed
-    gap for closure members; independent of how the gap was found."""
+    gap for closure members; independent of how the gap was found.  Only
+    the part of ``e`` that can meet the gap is scanned."""
     a, b = gap.lower, gap.upper
+    view = e.within(a, b)
+    if view.is_empty:
+        return None
     for d in range(1, max_den + 1):
         n = -((-a.numerator * d) // a.denominator)  # ceil(a*d)
         top = (b.numerator * d) // b.denominator    # floor(b*d)
         while n <= top:
-            if math.gcd(n, d) == 1 and e.closure_contains(Q(n, d)):
+            if math.gcd(n, d) == 1 and view.closure_contains(Q(n, d)):
                 return Q(n, d)
             n += 1
     return None

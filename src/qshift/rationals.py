@@ -55,47 +55,43 @@ def ceil_rat(q: Q) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def _simplest_nonneg(lo: Q, inc_lo: bool, hi: Optional[Q], inc_hi: bool) -> Q:
-    """Simplest rational in an interval with 0 <= lo < hi (hi=None: +inf).
-
-    Continued-fraction descent: take the smallest admissible integer if
-    one exists, otherwise recurse on the reciprocal of the fractional
-    parts.  Minimizes the denominator, then the numerator.
-    """
-    fl = floor_rat(lo)
-    if lo == fl and inc_lo:
-        first_int = fl
-    else:
-        first_int = fl + 1
-    if hi is None or first_int < hi or (first_int == hi and inc_hi):
-        return Q(first_int)
-    # interval lies strictly inside (fl, fl + 1); write x = fl + 1/y
-    y_lo = 1 / (hi - fl)
-    if lo == fl:
-        y_hi: Optional[Q] = None
-    else:
-        y_hi = 1 / (lo - fl)
-    y = _simplest_nonneg(y_lo, inc_hi, y_hi, inc_lo)
-    return fl + 1 / y
-
-
 def simplest_between(lo: Q, hi: Q, include_lo: bool = False,
                      include_hi: bool = False) -> Q:
     """Rational with smallest denominator in the given interval.
 
     Endpoint inclusion is controlled by the flags; the interval must be
-    nonempty.  Deterministic, and cheap: runs along the continued
-    fraction of the endpoints.
+    nonempty.  Deterministic, and cheap: one descent along the continued
+    fraction of the endpoints, on integer numerators and denominators,
+    building a single ``Q`` at the end.
     """
     if lo > hi or (lo == hi and not (include_lo and include_hi)):
         raise ValueError(f"empty interval ({rat_str(lo)}, {rat_str(hi)})")
     if lo == hi:
         return lo
-    if (lo < 0 or (lo == 0 and include_lo)) and (hi > 0 or (hi == 0 and include_hi)):
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if (ln < 0 or (ln == 0 and include_lo)) and (hn > 0 or (hn == 0 and include_hi)):
         return Q(0)
-    if hi < 0 or (hi == 0 and not include_hi):
-        return -_simplest_nonneg(-hi, include_hi, -lo, include_lo)
-    return _simplest_nonneg(lo, include_lo, hi, include_hi)
+    sign = 1
+    if hn < 0 or (hn == 0 and not include_hi):
+        # mirror onto the nonnegative side: x lies in (lo, hi) iff -x
+        # lies in (-hi, -lo)
+        sign = -1
+        ln, ld, hn, hd = -hn, hd, -ln, ld
+        include_lo, include_hi = include_hi, include_lo
+    # now 0 <= lo < hi; hd == 0 below stands for hi = +inf.  Take the
+    # smallest admissible integer if one exists; otherwise lo and hi share
+    # the integer part fl, and x = fl + 1/y with y between 1/(hi - fl) and
+    # 1/(lo - fl), the inclusion flags swapped.  (p1/q1, p0/q0) are the
+    # last two convergents of the partial quotients fl taken so far.
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        fl, rem = divmod(ln, ld)
+        first = fl if rem == 0 and include_lo else fl + 1
+        if first * hd < hn or (include_hi and first * hd == hn):
+            return Q(sign * (first * p1 + p0), first * q1 + q0)
+        p0, q0, p1, q1 = p1, q1, fl * p1 + p0, fl * q1 + q0
+        ln, ld, hn, hd = hd, hn - fl * hd, ld, rem
+        include_lo, include_hi = include_hi, include_lo
 
 
 class Interval:

@@ -39,6 +39,12 @@ def _need(obj: Any, keys: Tuple[str, ...], what: str) -> None:
         raise _fail(f"malformed {what}: expected keys {sorted(keys)}")
 
 
+def _is_int(o: Any) -> bool:
+    """Whether a JSON value is an integer; ``true``/``false`` are not,
+    although Python's ``bool`` subclasses ``int``."""
+    return isinstance(o, int) and not isinstance(o, bool)
+
+
 def _rat_from(o: Any, what: str) -> Q:
     if not isinstance(o, str):
         raise _fail(f"malformed {what}: rational must be a string")
@@ -117,7 +123,7 @@ def ndset_from_obj(o: Any) -> NDSet:
     for t in o["tails"]:
         _need(t, ("limit", "coeff", "ratio", "headDrop"), "tail")
         drop = t["headDrop"]
-        if not isinstance(drop, int) or drop < 0:
+        if not _is_int(drop) or drop < 0:
             raise _fail("malformed tail: headDrop must be a nonnegative int")
         coeff, ratio = _rat_from(t["coeff"], "tail"), _rat_from(t["ratio"], "tail")
         # bound the digits of the folded coeff * ratio**drop before
@@ -233,14 +239,14 @@ def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
 
 def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     _need(o, ("streamHash", "N", "steps"), "trace")
-    if not isinstance(o["streamHash"], str) or not isinstance(o["N"], int):
+    if not isinstance(o["streamHash"], str) or not _is_int(o["N"]):
         raise _fail("malformed trace header")
     if not isinstance(o["steps"], list):
         raise _fail("malformed trace: steps must be a list")
     steps: List[ShiftStep] = []
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
-        if not isinstance(s["n"], int):
+        if not _is_int(s["n"]):
             raise _fail("malformed trace step: n must be an int")
         if s["n"] != i:
             raise _fail(f"malformed trace step {i}: n must equal the "

@@ -233,3 +233,46 @@ def test_unwritable_out_is_input_error(tmp_path):
     assert proc.stderr.startswith("input error: cannot write")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "qshift.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def _assert_input_error(proc, needle):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and needle in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_boolean_head_drop_is_input_error(tmp_path):
+    # JSON true would otherwise pass as the int 1
+    stream = tmp_path / "stream.json"
+    stream.write_text(json.dumps({"increments": [{"points": [], "tails": [
+        {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": True}]}]}))
+    proc = _cli("construct", "--stream", str(stream), "--steps", "1",
+                "--out", str(tmp_path / "t.json"))
+    _assert_input_error(proc, "headDrop")
+
+
+def _verify_edited_trace(tmp_path, old, new):
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert _cli("construct", "--stream", spec, "--steps", "1",
+                "--out", str(out)).returncode == 0
+    text = out.read_text()
+    assert old in text
+    out.write_text(text.replace(old, new, 1))
+    return _cli("verify", "--stream", spec, "--out", str(out))
+
+
+def test_boolean_trace_header_n_is_input_error(tmp_path):
+    # with two steps, "N": true would compare equal to the header's 1
+    _assert_input_error(_verify_edited_trace(tmp_path, '"N":1,', '"N":true,'),
+                        "trace header")
+
+
+def test_boolean_step_n_is_input_error(tmp_path):
+    _assert_input_error(_verify_edited_trace(tmp_path, '"n":1,', '"n":true,'),
+                        "n must be an int")

@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
 from qshift.rationals import Interval, Q
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
-                             rng_rational)
+                             rng_interval, rng_positive_rational, rng_rational)
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -526,3 +527,96 @@ def test_union_matches_from_scratch_normalization():
         absorbed += len(got.points) < len(set(a.points + b.points))
     # the grown-tail and absorbed-point paths were both exercised
     assert grew >= 20 and absorbed >= 20, (grew, absorbed)
+
+
+# -- the brute gap scan reads only the part of the set near the gap ---------
+
+def unwindowed_scan_gap(e, gap, max_den):
+    """The brute gap scan over the whole set, as it was before windowing."""
+    a, b = gap.lower, gap.upper
+    for d in range(1, max_den + 1):
+        n = -((-a.numerator * d) // a.denominator)  # ceil(a*d)
+        top = (b.numerator * d) // b.denominator    # floor(b*d)
+        while n <= top:
+            if math.gcd(n, d) == 1 and e.closure_contains(Q(n, d)):
+                return Q(n, d)
+            n += 1
+    return None
+
+
+def scan_candidates(a, b, max_den):
+    for d in range(1, max_den + 1):
+        for n in range(-((-a.numerator * d) // a.denominator),
+                       (b.numerator * d) // b.denominator + 1):
+            if math.gcd(n, d) == 1:
+                yield Q(n, d)
+
+
+def crowded_hulls(rng):
+    """Many tails whose hulls pile up around a few nearby limits."""
+    limits = [rng_rational(rng, 3) for _ in range(2)]
+    tails = [GeomTail(rng.choice(limits),
+                      rng.choice((1, -1)) * rng_positive_rational(rng, 3),
+                      Q(1, rng.randint(2, 5)))
+             for _ in range(rng.randint(5, 9))]
+    return NDSet([rng_rational(rng, 4) for _ in range(rng.randint(0, 4))],
+                 tails)
+
+
+def max_hull_depth(e):
+    return max((sum(t.lo <= q <= t.hi for t in e.tails)
+                for q in probe_points(Random(0), e)), default=0)
+
+
+def test_windowed_gap_scan_matches_unwindowed_oracle():
+    rng = Random(777)
+    max_den = 12
+    pairs = hits = nonempty_misses = crowded = 0
+    for i in range(250):
+        kind = i % 3
+        if kind == 0:
+            e = rng_ndset(rng)
+        elif kind == 1:
+            e = NDSet(*entangled_presentation(rng))
+        else:
+            e = crowded_hulls(rng)
+            crowded += max_hull_depth(e) >= 5
+        qs = probe_points(rng, e)
+        intervals = [e.find_gap(rng_interval(rng))]
+        for _ in range(3):
+            q = rng.choice(qs)
+            w = Q(1, rng.randint(1, 8))
+            # the lower end is q itself a quarter of the time
+            intervals.append(Interval(q - w * Q(rng.randint(0, 3), 3), q + w))
+        a, b = sorted(rng.sample(qs, 2)) if len(set(qs)) > 1 else (qs[0],
+                                                                  qs[0] + 1)
+        if a < b and b - a <= 2:
+            intervals.append(Interval(a, b))
+        for gap in intervals:
+            a, b = gap.lower, gap.upper
+            view = e.within(a, b)
+            rebuilt = NDSet(view.points, view.tails)
+            assert view._key() == rebuilt._key(), (e, gap)
+            for q in scan_candidates(a, b, max_den):
+                assert view.closure_contains(q) == e.closure_contains(q), \
+                    (e, gap, q)
+            got = brute_scan_gap(e, gap, max_den)
+            assert got == unwindowed_scan_gap(e, gap, max_den), (e, gap)
+            pairs += 1
+            hits += got is not None
+            nonempty_misses += got is None and not view.is_empty
+    # witnesses were found, gaps were scanned through a nonempty view, and
+    # sets with deeply overlapping hulls were among the inputs
+    assert pairs >= 1000 and hits >= 300 and nonempty_misses >= 100, \
+        (pairs, hits, nonempty_misses)
+    assert crowded >= 40, crowded
+
+
+def test_within_keeps_what_can_meet_the_interval():
+    e = NDSet([-3, 0, 1, 5], [GeomTail(2, 1, Q(1, 2)),
+                              GeomTail(-2, -1, Q(1, 3))])
+    v = e.within(Q(1), Q(5, 2))
+    assert v.points == (Q(1),) and v.tails == (GeomTail(2, 1, Q(1, 2)),)
+    # hulls are closed: an interval ending on a limit keeps the tail
+    assert e.within(-5, -2).tails == (GeomTail(-2, -1, Q(1, 3)),)
+    assert e.within(Q(7, 2), Q(9, 2)).is_empty

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshift import construction, properties
 from qshift.construction import (EStream, rational_enum,
                                  run_shift_construction)
 from qshift.ndsets import NDSet, ndset_points
@@ -321,3 +322,38 @@ def test_identity_is_shared():
     assert PLMap.identity() is PLMap.identity()
     assert PLMap.identity().is_identity
 
+
+
+def squeeze_oracle(cover, targets):
+    """The squeeze map's breakpoints run through the public constructor."""
+    c, d = cover.lower, cover.upper
+    bps = [(c, c)]
+    for (u, v), gap in targets:
+        g, w = gap.lower, gap.upper - gap.lower
+        bps += ([(u, g + w / 2)] if u == v
+                else [(u, g + w / 3), (v, g + 2 * w / 3)])
+    bps.append((d, d))
+    return PLMap(tuple(bps))
+
+
+def test_squeeze_map_matches_public_constructor(monkeypatch):
+    calls = []
+
+    def recording(cover, targets):
+        calls.append((cover, list(targets)))
+        return squeeze_map(cover, targets)
+
+    monkeypatch.setattr(properties, "squeeze_map", recording)
+    monkeypatch.setattr(construction, "squeeze_map", recording)
+    for seed in range(4):
+        properties.prop_squeeze(Random(f"{seed}:squeeze-postconditions"), 50)
+    from_props = len(calls)
+    for seed in (1, 2, 3):
+        stream = _tail_stream(seed, 12)
+        run_shift_construction(stream, len(stream.increments) - 2)
+    assert from_props >= 150 and len(calls) - from_props >= 20, len(calls)
+    for cover, targets in calls:
+        got = squeeze_map(cover, targets)
+        want = squeeze_oracle(cover, targets)
+        assert got == want and got._slopes == want._slopes, (cover, targets)
+        assert_public(got)

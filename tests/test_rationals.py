@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,83 @@ def test_simplest_between_endpoint_flags():
     with pytest.raises(ValueError):
         simplest_between(half, half)
     assert simplest_between(half, half, True, True) == half
+
+
+def recursive_simplest_nonneg(lo, inc_lo, hi, inc_hi):
+    """The recursive descent over Q that the integer kernel replaced, for
+    0 <= lo < hi (hi=None: +inf)."""
+    fl = floor_rat(lo)
+    if lo == fl and inc_lo:
+        first_int = fl
+    else:
+        first_int = fl + 1
+    if hi is None or first_int < hi or (first_int == hi and inc_hi):
+        return Q(first_int)
+    # interval lies strictly inside (fl, fl + 1); write x = fl + 1/y
+    y_lo = 1 / (hi - fl)
+    if lo == fl:
+        y_hi = None
+    else:
+        y_hi = 1 / (lo - fl)
+    y = recursive_simplest_nonneg(y_lo, inc_hi, y_hi, inc_lo)
+    return fl + 1 / y
+
+
+def recursive_simplest_between(lo, hi, include_lo=False, include_hi=False):
+    if lo > hi or (lo == hi and not (include_lo and include_hi)):
+        raise ValueError("empty interval")
+    if lo == hi:
+        return lo
+    if (lo < 0 or (lo == 0 and include_lo)) and (hi > 0 or (hi == 0 and include_hi)):
+        return Q(0)
+    if hi < 0 or (hi == 0 and not include_hi):
+        return -recursive_simplest_nonneg(-hi, include_hi, -lo, include_lo)
+    return recursive_simplest_nonneg(lo, include_lo, hi, include_hi)
+
+
+def oracle_intervals(rng):
+    """Seeded intervals of every shape the descent branches on."""
+    for i in range(24000):
+        size = 10 ** rng.choice((1, 2, 3, 12))
+        a = Q(rng.randint(-size, size), rng.randint(1, size))
+        shape = i % 6
+        if shape == 0:  # a point, both ends included
+            yield a, a, True, True
+            continue
+        if shape == 1:  # a narrow interval: a long continued fraction
+            b = a + Q(1, rng.randint(1, size) * rng.randint(1, size))
+        elif shape == 2:  # ends on an integer or at 0
+            b = Q(rng.choice((0, rng.randint(-3, 3))))
+        elif shape == 3:  # mirrored, so negative intervals match positive ones
+            b = -a + Q(rng.randint(0, 2), rng.randint(1, size))
+        else:
+            b = Q(rng.randint(-size, size), rng.randint(1, size))
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        yield lo, hi, bool(i & 8), bool(i & 16)
+
+
+def test_simplest_between_matches_recursive_oracle():
+    seen = set()
+    count = 0
+    for lo, hi, inc_lo, inc_hi in oracle_intervals(Random(314)):
+        got = simplest_between(lo, hi, inc_lo, inc_hi)
+        assert got == recursive_simplest_between(lo, hi, inc_lo, inc_hi), \
+            (lo, hi, inc_lo, inc_hi)
+        assert type(got) is Q
+        count += 1
+        seen.add((inc_lo, inc_hi, lo == hi, (lo > 0) - (hi < 0),
+                  max(lo.denominator, abs(lo.numerator)) >= 10 ** 11))
+    assert count >= 20000
+    # every flag pair, on positive, negative and zero-straddling intervals,
+    # with 12-digit endpoints among them, and points with both ends included
+    for inc_lo in (False, True):
+        for inc_hi in (False, True):
+            for side in (-1, 0, 1):
+                assert (inc_lo, inc_hi, False, side, True) in seen
+    assert (True, True, True, 1, True) in seen
+    assert (True, True, True, -1, True) in seen
 
 
 def test_interval_basics():
