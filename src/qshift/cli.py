@@ -36,7 +36,8 @@ EXIT_IO = 2
 
 
 def _emit(obj, stream=None) -> None:
-    print(canon_dumps(obj), file=stream or sys.stdout)
+    # one write per line, where print makes two
+    (stream or sys.stdout).write(canon_dumps(obj) + "\n")
 
 
 def _print_report(report: Report, command: str) -> None:

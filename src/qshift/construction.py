@@ -20,6 +20,8 @@ membership oracles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from .ndsets import EMPTY_NDSET, NDSet
@@ -137,13 +139,40 @@ class EvacuationError(ValueError):
 
 
 def _merge_closed(intervals: Sequence[Tuple[Q, Q]]) -> List[Tuple[Q, Q]]:
+    """Sorted, disjoint closed intervals with the same union."""
     out: List[Tuple[Q, Q]] = []
-    for a, b in sorted(intervals):
+    # intervals sharing a lower end merge whatever their order, so
+    # sorting by it alone gives the same result
+    for a, b in sorted(intervals, key=itemgetter(0)):
+        if a > b:
+            raise ValueError("interval endpoints out of order")
         if out and a <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], b))
         else:
             out.append((a, b))
     return out
+
+
+def _closure_meets_merged(s: NDSet, merged: Sequence[Tuple[Q, Q]]) -> bool:
+    """Whether the closure of ``s`` meets one of the sorted, disjoint
+    closed intervals: one sweep of the points against the intervals, and
+    each tail tested only on the intervals that meet its hull."""
+    pts = s.points
+    i, n = 0, len(pts)
+    for a, b in merged:
+        while i < n and pts[i] < a:
+            i += 1
+        if i == n:
+            break
+        if pts[i] <= b:
+            return True
+    for t in s.tails:
+        j = bisect_left(merged, t.lo, key=itemgetter(1))
+        while j < len(merged) and merged[j][0] <= t.hi:
+            if t.closure_meets_closed(*merged[j]) is not None:
+                return True
+            j += 1
+    return False
 
 
 def _members_missing(c_fix: NDSet, c_move: NDSet) -> List[Q]:
@@ -155,7 +184,16 @@ def _members_missing(c_fix: NDSet, c_move: NDSet) -> List[Q]:
     Exact for points and final segments; the other tails are only
     sampled, so an empty result does not prove containment for them.
     """
-    missing = [p for p in c_fix.points if not c_move.contains(p)]
+    # one pointer walks the moving points beside the fixed ones
+    mpts = c_move.points
+    j, n = 0, len(mpts)
+    missing = []
+    for p in c_fix.points:
+        while j < n and mpts[j] < p:
+            j += 1
+        if ((j == n or mpts[j] != p)
+                and not any(t.contains(p) for t in c_move.tails)):
+            missing.append(p)
     for t in c_fix.tails:
         head = t.limit + t.coeff
         if not any(s is t or s.limit == t.limit and s.ratio == t.ratio
@@ -177,17 +215,20 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
     map is inverted: pulling a blocked interval into a gap of the moving
     set and inverting moves the set off the blocked interval.
     """
-    for a, b in blocked:
-        w = c_fix.closure_meets_closed(a, b)
-        if w is not None:
-            raise EvacuationError(w, (a, b))
+    merged_blocked = _merge_closed(blocked)
+    # merged closed intervals have no holes, so the closure meets one of
+    # them iff it meets a blocked interval; the ordered scan runs only to
+    # name the first blocked interval hit and its witness
+    if _closure_meets_merged(c_fix, merged_blocked):
+        for a, b in blocked:
+            w = c_fix.closure_meets_closed(a, b)
+            if w is not None:
+                raise EvacuationError(w, (a, b))
     missing = _members_missing(c_fix, c_move)
     if missing:
         raise ValueError(
             f"set to fix is not part of the moving set: {rat_str(min(missing))}")
-    merged_blocked = _merge_closed(blocked)
-    if not any(c_move.closure_meets_closed(a, b) is not None
-               for a, b in merged_blocked):
+    if not _closure_meets_merged(c_move, merged_blocked):
         return PLMap.identity()  # nothing to move
 
     covers: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []

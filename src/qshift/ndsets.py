@@ -241,8 +241,13 @@ class NDSet:
     __slots__ = ("points", "tails")
 
     def __init__(self, points: Iterable = (), tails: Iterable[GeomTail] = ()):
-        given = {rat(p) for p in points}
+        pts = sorted(map(rat, points))
+        # sorting brings equal points together, so one comparison each
+        # drops the duplicates (sorted input costs len - 1 comparisons and
+        # no point is hashed)
+        pts = pts[:1] + [q for p, q in zip(pts, pts[1:]) if p != q]
         tails = set(tails)
+        given = set(pts) if tails else ()
         # extend each tail backwards through the members of the set it
         # abuts, so equal sets get equal presentations no matter how they
         # were assembled; the members tested are the given points and the
@@ -260,11 +265,10 @@ class NDSet:
             extended.add(t if coeff == t.coeff
                          else GeomTail(t.limit, coeff, t.ratio))
         tl = tuple(sorted(extended, key=GeomTail._key))
-        pts = sorted(given)
         # drop the points a tail holds, including those absorbed above
         covered = _held_points(pts, tl)
-        object.__setattr__(self, "points",
-                           tuple(p for p in pts if p not in covered))
+        object.__setattr__(self, "points", tuple(
+            [p for p in pts if p not in covered] if covered else pts))
         object.__setattr__(self, "tails", tl)
 
     @classmethod
@@ -335,7 +339,18 @@ class NDSet:
             t for t, old in zip(mine, self.tails) if t is not old])
         covered |= _held_points(other.points, mine + [
             t for t, old in zip(theirs, other.tails) if t is not old])
-        points = sorted({*self.points, *other.points} - covered)
+        # insert the smaller side's points into a copy of the larger
+        # side's, left to right, each by bisection past the previous one
+        small, large = sorted((self.points, other.points), key=len)
+        points = list(large)
+        i = 0
+        for p in small:
+            i = bisect_left(points, p, i)
+            if i == len(points) or points[i] != p:
+                points.insert(i, p)
+            i += 1
+        if covered:
+            points = [p for p in points if p not in covered]
         return NDSet._normalized(
             tuple(points), tuple(sorted({*mine, *theirs}, key=GeomTail._key)))
 
@@ -384,6 +399,10 @@ class NDSet:
         q = rat(q)
         if self.closure_contains(q):
             raise ValueError("query point lies in the closure")
+        return self._neighbours(q)
+
+    def _neighbours(self, q: Q) -> Tuple[Optional[Q], Optional[Q]]:
+        """``neighbours`` of a Q already known to lie off the closure."""
         pts = self.points
         i = bisect_left(pts, q)
         lo = pts[i - 1] if i else None
@@ -402,23 +421,15 @@ class NDSet:
     def nearest_closure_above(self, q) -> Optional[Q]:
         return self.neighbours(q)[1]
 
-    def gap_around(self, q, window: Interval) -> Interval:
-        """Maximal closure-free open interval around q inside the window."""
-        lo, hi = self.neighbours(q)
-        if window.lower is not None:
-            lo = window.lower if lo is None else max(lo, window.lower)
-        if window.upper is not None:
-            hi = window.upper if hi is None else min(hi, window.upper)
-        return Interval(lo, hi)
-
     def find_gap(self, interval: Interval) -> Interval:
         """Deterministic rational (a, b) with [a, b] inside the interval
         and disjoint from the closure.
 
         Probes dyadic subdivision points of the interval left to right
         until one misses the closure, takes the maximal closure-free gap
-        around it, brackets the gap's middle third, and snaps the
-        endpoints to the simplest rationals in each half of the bracket.
+        around it inside the interval, brackets the gap's middle third,
+        and snaps the endpoints to the simplest rationals in each half of
+        the bracket.
         """
         window = interval.finite_window()
         x, y = window.lower, window.upper
@@ -429,8 +440,9 @@ class NDSet:
             for j in range(1, 1 << level, 2):
                 m = x + j * step
                 if not self.closure_contains(m):
-                    gap = self.gap_around(m, window)
-                    g, h = gap.lower, gap.upper
+                    g, h = self._neighbours(m)
+                    g = x if g is None else max(g, x)
+                    h = y if h is None else min(h, y)
                     third = (h - g) / 3
                     mid = (g + h) / 2
                     a = simplest_between(g + third, mid, True, False)

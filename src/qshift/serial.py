@@ -26,8 +26,13 @@ class SerializationError(ValueError):
     pass
 
 
+# built once: json.dumps with any non-default argument builds an encoder
+# per call
+_CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canon_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANON.encode(obj)
 
 
 def _fail(msg: str) -> "SerializationError":

@@ -276,3 +276,24 @@ def test_boolean_trace_header_n_is_input_error(tmp_path):
 def test_boolean_step_n_is_input_error(tmp_path):
     _assert_input_error(_verify_edited_trace(tmp_path, '"n":1,', '"n":true,'),
                         "n must be an int")
+
+
+def test_report_and_trace_bytes_match_json_dumps(tmp_path, capsys):
+    from qshift.serial import canon_dumps
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    out = tmp_path / "trace.json"
+    spec = str(SPECS / "tail_start.json")
+    assert run_cli("construct", "--stream", spec, "--steps", "6",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--stream", spec, "--out", str(out)) == 0
+    text = capsys.readouterr().out
+    records = [json.loads(line) for line in text.splitlines()]
+    assert len(records) > 50 and records[-1]["command"] == "verify"
+    assert text == "".join(dumps(r) + "\n" for r in records)
+    assert [canon_dumps(r) for r in records] == [dumps(r) for r in records]
+    trace = json.loads(out.read_text())
+    assert out.read_text() == canon_dumps(trace) + "\n" == dumps(trace) + "\n"

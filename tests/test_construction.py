@@ -402,3 +402,102 @@ def test_evacuate_precondition_matches_sampled_reference():
                                match=f"moving set: {rat_str(first)}$"):
                 evacuate(c_fix, c_move, [])
     assert 30 <= rejected <= 270, rejected
+
+
+# -- evacuate's sweeps against the ordered per-interval scans -----------------
+
+def ordered_scan_outcome(c_fix, c_move, blocked):
+    """Reference for evacuate's checks, one closure query per interval in
+    the given order: ('blocked', witness, interval) for the first blocked
+    interval that meets the closure of c_fix; ('missing', message) when
+    c_fix has members c_move lacks (its points, and six leading terms of
+    each tail that is not a final segment of a moving tail); else
+    ('moves', whether the closure of c_move meets a blocked interval)."""
+    for a, b in blocked:
+        w = c_fix.closure_meets_closed(a, b)
+        if w is not None:
+            return "blocked", w, (a, b)
+    missing = [p for p in c_fix.points if not c_move.contains(p)]
+    for t in c_fix.tails:
+        head = t.limit + t.coeff
+        if not any(s is t or s.limit == t.limit and s.ratio == t.ratio
+                   and s.contains(head) for s in c_move.tails):
+            missing.extend(q for q in map(t.term, range(6))
+                           if not c_move.contains(q))
+    if missing:
+        return ("missing", "set to fix is not part of the moving set: "
+                f"{rat_str(min(missing))}")
+    return "moves", any(c_move.closure_meets_closed(a, b) is not None
+                        for a, b in blocked)
+
+
+def closure_centres(rng, e):
+    """Points, limits and tail terms of e."""
+    out = list(e.points)
+    for t in e.tails:
+        out += [t.limit, t.term(0), t.term(rng.randint(1, 4))]
+    return out
+
+
+def blocked_around(rng, centres, count):
+    """Closed intervals in shuffled order, most around the centres (some
+    degenerate), the rest random."""
+    out = []
+    for _ in range(count):
+        if centres and rng.random() < 0.8:
+            c = rng.choice(centres)
+            out.append((c - rng.choice((0, Q(1, 64), Q(1, 9))),
+                        c + rng.choice((0, Q(1, 50), Q(1, 7)))))
+        else:
+            iv = rng_interval(rng)
+            out.append((iv.lower, iv.upper))
+    rng.shuffle(out)
+    return out
+
+
+def test_evacuate_sweeps_match_ordered_scans():
+    rng = Random(8080)
+    seen = {"blocked": 0, "missing": 0, "moves": 0, "still": 0}
+    several = 0
+    for _ in range(300):
+        c_move = rng_ndset(rng, max_points=6, max_tails=2)
+        points = [p for p in c_move.points if rng.random() < 0.6]
+        tails = [t for t in c_move.tails if rng.random() < 0.6]
+        if rng.random() < 0.3:
+            points.append(rng_rational(rng))
+        c_fix = NDSet(points, tails)
+        count, kind = rng.randint(1, 7), rng.random()
+        if kind < 0.4:
+            blocked = blocked_around(rng, closure_centres(rng, c_fix), count)
+        elif kind < 0.75:
+            # around members of c_move off the closure of c_fix
+            blocked = blocked_around(
+                rng, [c for c in closure_centres(rng, c_move)
+                      if not c_fix.closure_contains(c)], count)
+        else:
+            gaps = [c_move.find_gap(rng_interval(rng)) for _ in range(count)]
+            blocked = [(g.lower, g.upper) for g in gaps]
+        want = ordered_scan_outcome(c_fix, c_move, blocked)
+        if want[0] == "blocked":
+            seen["blocked"] += 1
+            several += sum(c_fix.closure_meets_closed(a, b) is not None
+                           for a, b in blocked) > 1
+            with pytest.raises(EvacuationError) as err:
+                evacuate(c_fix, c_move, blocked)
+            assert (err.value.witness, err.value.blocked) == want[1:]
+            assert str(err.value) == str(EvacuationError(*want[1:]))
+        elif want[0] == "missing":
+            seen["missing"] += 1
+            with pytest.raises(ValueError) as err:
+                evacuate(c_fix, c_move, blocked)
+            assert not isinstance(err.value, EvacuationError)
+            assert str(err.value) == want[1]
+        else:
+            pi = evacuate(c_fix, c_move, blocked)
+            seen["moves" if want[1] else "still"] += 1
+            assert pi.is_identity != want[1]
+            assert fix_violation(pi, c_fix) is None
+            img = c_move.image(pi)
+            assert all(img.closure_meets_closed(a, b) is None
+                       for a, b in blocked)
+    assert min(seen.values()) >= 20 and several >= 20, (seen, several)

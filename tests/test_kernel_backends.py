@@ -154,3 +154,56 @@ def test_cli_bytes_identical_across_backends(speedups, tmp_path):
         outputs[backend] = (rest.replace(str(out), "OUT"), files)
     assert len(outputs["pure"][1]) == 3
     assert outputs["pure"] == outputs["speedups"]
+
+
+# Builds the bundled streams, their traces and the traces read back under
+# the compiled kernel, then walks every slot, tuple, list and dict they
+# hold: argv[1] is the kernel's file, argv[2] the specs directory.  Prints
+# the number of Q values met, or raises on the first Fraction.
+WALKER = """
+import importlib.util, os, sys
+from fractions import Fraction
+spec = importlib.util.spec_from_file_location(
+    "qshift._qarith._speedups", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+sys.modules[spec.name] = module
+from qshift._qarith import BACKEND, Q
+from qshift.construction import run_shift_construction
+from qshift.serial import (read_json_file, stream_from_obj, trace_from_obj,
+                           trace_to_obj)
+assert BACKEND == "speedups" and Q is module.Q
+
+def walk(x, path):
+    if isinstance(x, Fraction):
+        raise AssertionError(f"Fraction at {path}: {x!r}")
+    if isinstance(x, Q):
+        return 1
+    if isinstance(x, (tuple, list)):
+        return sum(walk(y, f"{path}[{i}]") for i, y in enumerate(x))
+    if isinstance(x, dict):
+        return sum(walk(y, f"{path}[{k!r}]") for k, y in x.items())
+    slots = [s for c in type(x).__mro__ for s in getattr(c, "__slots__", ())]
+    return sum(walk(getattr(x, s, None), f"{path}.{s}") for s in slots)
+
+total = 0
+for name in ("empty.json", "dense_singletons.json", "tail_start.json"):
+    stream = stream_from_obj(read_json_file(os.path.join(sys.argv[2], name)))
+    trace = run_shift_construction(stream, 10)
+    read_back, _, _ = trace_from_obj(trace_to_obj(trace, stream))
+    stream.level(10)  # fill the cached levels, so the walk meets them
+    for what, obj in (("stream", stream), ("trace", trace),
+                      ("read", read_back)):
+        total += walk(obj, f"{name}:{what}")
+print(total)
+"""
+
+
+def test_no_fraction_in_compiled_kernel_objects(speedups):
+    specs = resources.files("qshift").joinpath("specs")
+    proc = subprocess.run(
+        [sys.executable, "-c", WALKER, speedups.__file__, str(specs)],
+        env=dict(os.environ, QSHIFT_BACKEND="speedups"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 1000

@@ -529,6 +529,75 @@ def test_union_matches_from_scratch_normalization():
     assert grew >= 20 and absorbed >= 20, (grew, absorbed)
 
 
+def lopsided_pair(rng):
+    """Sixty points against one, with duplicates across the sides and,
+    sometimes, a tail on one side holding points of the other."""
+    many = [rng_rational(rng, 9) for _ in range(60)]
+    one = [rng.choice(many) if rng.random() < 0.4 else rng_rational(rng, 9)]
+    many_tails, one_tails = [], []
+    if rng.random() < 0.5:
+        t = rng_geomtail(rng)
+        many += [t.term(k) for k in range(rng.randint(0, 3))]
+        one_tails.append(t)
+    if rng.random() < 0.3:
+        t = rng_geomtail(rng)
+        one.append(t.term(rng.randint(0, 3)))
+        many_tails.append(t)
+    return NDSet(many, many_tails), NDSet(one, one_tails)
+
+
+def test_union_of_lopsided_sets_matches_from_scratch_build():
+    rng = Random(6060)
+    shared = absorbed = 0
+    for _ in range(200):
+        a, b = lopsided_pair(rng)
+        want = NDSet(a.points + b.points, a.tails + b.tails)
+        assert a.union(b)._key() == want._key(), (a, b)
+        assert b.union(a)._key() == want._key(), (a, b)
+        shared += bool(set(a.points) & set(b.points))
+        absorbed += len(want.points) < len(set(a.points + b.points))
+    assert shared >= 40 and absorbed >= 40, (shared, absorbed)
+
+
+def hash_then_sort_build(points, tails):
+    """Reference construction: a hash set of the points, sorted, with
+    the tails extended and the held points dropped as NDSet does."""
+    given = {Q(p) for p in points}
+    tails = set(tails)
+    extended = set()
+    for t in tails:
+        coeff = t.coeff
+        prev = t.limit + coeff / t.ratio
+        while prev in given or any(s.contains(prev) for s in tails):
+            coeff = coeff / t.ratio
+            prev = t.limit + coeff / t.ratio
+        extended.add(GeomTail(t.limit, coeff, t.ratio))
+    tl = tuple(sorted(extended, key=GeomTail._key))
+    pts = tuple(p for p in sorted(given)
+                if not any(t.contains(p) for t in tl))
+    return pts, tuple(t._key() for t in tl)
+
+
+def test_construction_matches_hash_then_sort_build():
+    rng = Random(7070)
+    for _ in range(300):
+        points, tails = ([], []) if rng.random() < 0.4 else \
+            entangled_presentation(rng)
+        points += [rng_rational(rng, 5) for _ in range(rng.randint(0, 12))]
+        points += rng.choices(points, k=rng.randint(0, 6)) if points else []
+        order = rng.random()
+        if order < 0.3:
+            points.sort()
+        elif order < 0.5:
+            points.sort(reverse=True)
+        else:
+            rng.shuffle(points)
+        want = hash_then_sort_build(points, tails)
+        assert NDSet(points, tails)._key() == want, (points, tails)
+        assert NDSet(sorted(points) + sorted(points))._key() == \
+            hash_then_sort_build(points, [])
+
+
 # -- the brute gap scan reads only the part of the set near the gap ---------
 
 def unwindowed_scan_gap(e, gap, max_den):
