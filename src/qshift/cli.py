@@ -141,15 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=nonnegative, required=True,
                    help="last step index")
     p.add_argument("--out", required=True, help="trace output path")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; ignored")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a trace file")
     p.add_argument("--stream", required=True, help="stream spec JSON file")
     p.add_argument("--out", required=True, help="trace file to verify")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("theorem", help="check a theorem instance file")

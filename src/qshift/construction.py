@@ -175,34 +175,6 @@ def _closure_meets_merged(s: NDSet, merged: Sequence[Tuple[Q, Q]]) -> bool:
     return False
 
 
-def _members_missing(c_fix: NDSet, c_move: NDSet) -> List[Q]:
-    """The members of ``c_fix`` that ``c_move`` lacks, among its points
-    and the leading six terms of each of its tails that is not a final
-    segment of a tail of ``c_move`` (same limit and ratio, its head term
-    a term there).
-
-    Exact for points and final segments; the other tails are only
-    sampled, so an empty result does not prove containment for them.
-    """
-    # one pointer walks the moving points beside the fixed ones
-    mpts = c_move.points
-    j, n = 0, len(mpts)
-    missing = []
-    for p in c_fix.points:
-        while j < n and mpts[j] < p:
-            j += 1
-        if ((j == n or mpts[j] != p)
-                and not any(t.contains(p) for t in c_move.tails)):
-            missing.append(p)
-    for t in c_fix.tails:
-        head = t.limit + t.coeff
-        if not any(s is t or s.limit == t.limit and s.ratio == t.ratio
-                   and s.contains(head) for s in c_move.tails):
-            missing.extend(q for q in map(t.term, range(6))
-                           if not c_move.contains(q))
-    return missing
-
-
 def evacuate(c_fix: NDSet, c_move: NDSet,
              blocked: Sequence[Tuple[Q, Q]]) -> PLMap:
     """Map fixing ``c_fix`` pointwise whose image of ``c_move`` is
@@ -224,29 +196,29 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
             w = c_fix.closure_meets_closed(a, b)
             if w is not None:
                 raise EvacuationError(w, (a, b))
-    missing = _members_missing(c_fix, c_move)
-    if missing:
-        raise ValueError(
-            f"set to fix is not part of the moving set: {rat_str(min(missing))}")
     if not _closure_meets_merged(c_move, merged_blocked):
         return PLMap.identity()  # nothing to move
 
-    covers: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []
+    # Covers come out sorted by lower end, so they merge as they are
+    # built.  Each cover lies in the gap of the closure of c_fix that holds
+    # its blocked interval, and the gaps are ordered.  Inside one gap
+    # (L, R) the lower end never decreases as a grows: a - 1 plainly, and
+    # simplest_between(L, a) because the simplest rational of (L, a) is
+    # also the simplest of (L, a') for a' < a when it lies there, and is
+    # at least a' otherwise.
+    merged: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []
     for a, b in merged_blocked:
         # [a, b] misses the closure of c_fix (checked above), so a and b
         # have the same nearest closure points
         below, above = c_fix.neighbours(a)
         u = a - 1 if below is None else simplest_between(below, a)
         v = b + 1 if above is None else simplest_between(b, above)
-        covers.append((u, v, [(a, b)]))
-    covers.sort()
-    merged: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []
-    for u, v, blk in covers:
         if merged and u <= merged[-1][1]:
-            pu, pv, pblk = merged[-1]
-            merged[-1] = (pu, max(pv, v), pblk + blk)
+            pu, pv, blk = merged[-1]
+            blk.append((a, b))
+            merged[-1] = (pu, max(pv, v), blk)
         else:
-            merged.append((u, v, blk))
+            merged.append((u, v, [(a, b)]))
 
     g = PLMap.identity()
     for u, v, blk in merged:
@@ -322,7 +294,8 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
             shifted = shifted.union(stream.increment(n).image(sigma))
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
-        blocked.append((gap.lower, gap.upper))
+        # kept merged, so evacuate's own merge walks a sorted list
+        blocked = _merge_closed(blocked + [(gap.lower, gap.upper)])
         moving = shifted.union(stream.increment(n + 1).image(sigma))
         pi = evacuate(shifted, moving, blocked)
         sigma = pi.compose(sigma)
@@ -339,8 +312,7 @@ def witness_subgroup(trace: ShiftTrace) -> NDSet:
     return out
 
 
-def verify_shift_trace(trace: ShiftTrace, stream: EStream,
-                       jobs: int = 1) -> Report:
+def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
     """Independent replay of a trace.
 
     Recomputes every composition from the recorded maps, re-derives each
@@ -353,8 +325,7 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream,
     united with the image of increment n while every step index so far is
     right and every earlier map fixes its replayed set (the identity the
     construction uses, now proven for this trace), and as the image of
-    level n otherwise.  ``jobs`` is accepted for compatibility and
-    ignored: the replay is sequential.
+    level n otherwise.
     """
     report = Report()
     sigma = PLMap.identity()

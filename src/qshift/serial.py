@@ -256,10 +256,14 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         if s["n"] != i:
             raise _fail(f"malformed trace step {i}: n must equal the "
                         "step's position (0, 1, 2, ...)")
+        gap = interval_from_obj(s["J"])
+        if gap.lower is None or gap.upper is None:
+            # the verifier tests every gap as a closed interval
+            raise _fail(f"malformed trace step {i}: J must be bounded")
         steps.append(ShiftStep(
             s["n"],
             interval_from_obj(s["I"]),
-            interval_from_obj(s["J"]),
+            gap,
             plmap_from_obj(s["pi"]),
             plmap_from_obj(s["sigma_next"]),
             ndset_from_obj(s["shifted"]),

@@ -91,11 +91,10 @@ def test_golden_traces_reproduced(tmp_path):
              ("dense_singletons.json", 10, "dense_singletons_N10.trace.json")]
     for spec, steps, golden in cases:
         golden_bytes = (SPECS / "golden" / golden).read_bytes()
-        for attempt, jobs in ((1, "1"), (2, "1"), (3, "4")):
+        for attempt in (1, 2, 3):
             out = tmp_path / f"{golden}.{attempt}"
             code = run_cli("construct", "--stream", str(SPECS / spec),
-                           "--steps", str(steps), "--out", str(out),
-                           "--jobs", jobs)
+                           "--steps", str(steps), "--out", str(out))
             assert code == 0
             assert out.read_bytes() == golden_bytes, (spec, attempt)
 
@@ -297,3 +296,56 @@ def test_report_and_trace_bytes_match_json_dumps(tmp_path, capsys):
     assert [canon_dumps(r) for r in records] == [dumps(r) for r in records]
     trace = json.loads(out.read_text())
     assert out.read_text() == canon_dumps(trace) + "\n" == dumps(trace) + "\n"
+
+
+def test_verify_rejects_unbounded_gap(tmp_path, capsys):
+    # the gap-disjoint sweep tests every J as a closed interval
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "1",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    for end in ("lower", "upper"):
+        bad = json.loads(json.dumps(blob))
+        bad["steps"][1]["J"][end] = None
+        path = tmp_path / f"open_{end}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert run_cli("verify", "--stream", spec, "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "J must be bounded" in err
+
+
+def _json_paths(obj, path=()):
+    """Paths to every dict value and list item below ``obj``."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def test_verify_survives_every_field_mutation(tmp_path, capsys):
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    text = out.read_text()
+    blob = json.loads(text)
+    bad = tmp_path / "bad.json"
+    codes = {}
+    for path in _json_paths(blob):
+        for value in (None, 7, [], {}, "1/0", "2"):
+            mutated = json.loads(text)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            if node[path[-1]] == value:
+                continue
+            node[path[-1]] = value
+            bad.write_text(json.dumps(mutated))
+            code = run_cli("verify", "--stream", spec, "--out", str(bad))
+            assert code in (1, 2), (path, value)
+            codes[code] = codes.get(code, 0) + 1
+    capsys.readouterr()
+    assert codes[1] >= 50 and codes[2] >= 500, codes
