@@ -538,15 +538,6 @@ class NDSet:
                 unknown = True
         return SubsetResult(SubsetVerdict.UNKNOWN if unknown else SubsetVerdict.YES)
 
-    # -- sampling helpers ---------------------------------------------
-
-    def sample_points(self, terms_per_tail: int = 8) -> Tuple[Q, ...]:
-        """Presentation points plus leading tail terms, for spot checks."""
-        out = list(self.points)
-        for t in self.tails:
-            out.extend(t.term(k) for k in range(terms_per_tail))
-        return tuple(sorted(set(out)))
-
 
 EMPTY_NDSET = NDSet()
 

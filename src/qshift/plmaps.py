@@ -122,8 +122,10 @@ class PLMap:
 
     @property
     def is_identity(self) -> bool:
-        return (self.breakpoints == ((0, 0),)
-                and self.left_slope == 1 and self.right_slope == 1)
+        # canonical: a map with one breakpoint and unit ray slopes is
+        # affine, pinned at input 0
+        return (len(self._xs) == 1 and self._xs[0] == self._ys[0]
+                and self._slopes[0] == 1 and self._slopes[1] == 1)
 
     # -- evaluation --------------------------------------------------
 
@@ -161,7 +163,13 @@ class PLMap:
         product of the two piece slopes, and a point is kept only where
         that slope changes.  Where self is the identity on a piece, other's
         breakpoints inside it are copied with their slopes, unevaluated.
+        Composing with the identity returns the other map itself: maps are
+        immutable and canonical.
         """
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         fx, fy, fs = self._xs, self._ys, self._slopes
         gx, gy, gs = other._xs, other._ys, other._slopes
         nf, ng = len(fx), len(gx)

@@ -20,7 +20,8 @@ from .ndsets import NDSet, SubsetVerdict
 from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, Q, rat_str
 from .sampling import (fix_members, rng_distinct_rationals, rng_hfa,
-                       rng_interval, rng_ndset, rng_plmap, rng_rational)
+                       rng_interval, rng_ndset, rng_plmap, rng_rational,
+                       sample_points)
 from .serial import (hfa_to_obj, interval_to_obj, ndset_to_obj, plmap_to_obj,
                      term_to_obj)
 from .subgroups import (Conj, Fix, Inter, ShiftProblem, Stab, SubgroupTerm,
@@ -213,7 +214,7 @@ def prop_ndset_equivariance(rng: Random, cases: int) -> Optional[dict]:
 
     for _ in range(cases):
         f, g, e = rng_plmap(rng), rng_plmap(rng), rng_ndset(rng)
-        probes = [rng_rational(rng)] + list(e.sample_points(3))
+        probes = [rng_rational(rng)] + list(sample_points(e, 3))
         for q in probes:
             xs = {"f": f, "e": e, "q": q}
             if bad_contains(xs):
@@ -264,14 +265,14 @@ def prop_closure_coherence(rng: Random, cases: int) -> Optional[dict]:
     for _ in range(cases):
         e, f_set = rng_ndset(rng), rng_ndset(rng)
         u = e.union(f_set)
-        for q in e.sample_points(4) + e.limits:
+        for q in sample_points(e, 4) + e.limits:
             if not u.closure_contains(q):
                 return {"law": "closure monotone under union",
                         "inputs": {"e": to_jsonable(e), "f": to_jsonable(f_set),
                                    "q": to_jsonable(q)}}
         m = rng_plmap(rng)
         img = e.image(m)
-        for q in e.sample_points(4) + e.limits:
+        for q in sample_points(e, 4) + e.limits:
             if not img.closure_contains(m.apply(q)):
                 return {"law": "closure of image contains image of closure",
                         "inputs": {"e": to_jsonable(e), "m": to_jsonable(m),

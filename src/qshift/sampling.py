@@ -8,7 +8,7 @@ suites, CLI property runs, sampled subgroup checks).
 from __future__ import annotations
 
 from random import Random
-from typing import List
+from typing import List, Tuple
 
 from .hfa import Atom, HFAValue, SeqNode, SetNode
 from .ndsets import GeomTail, NDSet
@@ -60,6 +60,15 @@ def rng_ndset(rng: Random, max_points: int = 3, max_tails: int = 2) -> NDSet:
     pts = [rng_rational(rng, 10) for _ in range(rng.randint(0, max_points))]
     tails = [rng_geomtail(rng) for _ in range(rng.randint(0, max_tails))]
     return NDSet(pts, tails)
+
+
+def sample_points(e: NDSet, terms_per_tail: int = 8) -> Tuple[Q, ...]:
+    """Presentation points of ``e`` plus leading tail terms, for spot
+    checks."""
+    out = list(e.points)
+    for t in e.tails:
+        out.extend(t.term(k) for k in range(terms_per_tail))
+    return tuple(sorted(set(out)))
 
 
 def rng_hfa(rng: Random, max_depth: int = 3, max_width: int = 3) -> HFAValue:
@@ -119,5 +128,5 @@ def mixed_maps(support: NDSet, rng: Random, count: int) -> List[PLMap]:
 __all__ = [
     "rng_rational", "rng_positive_rational", "rng_distinct_rationals",
     "rng_plmap", "rng_interval", "rng_geomtail", "rng_ndset", "rng_hfa",
-    "bump_in_gap", "fix_members", "mixed_maps",
+    "sample_points", "bump_in_gap", "fix_members", "mixed_maps",
 ]

@@ -228,18 +228,25 @@ def stream_hash(s: EStream) -> str:
 
 
 def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
-    return {
-        "streamHash": stream_hash(stream),
-        "N": len(trace.steps) - 1,
-        "steps": [{
+    steps = []
+    sigma, sigma_obj = None, None
+    for st in trace.steps:
+        # an identity pi keeps sigma: each run of one map is encoded once
+        if st.sigma_next is not sigma:
+            sigma, sigma_obj = st.sigma_next, plmap_to_obj(st.sigma_next)
+        steps.append({
             "n": st.n,
             "I": interval_to_obj(st.interval),
             "J": interval_to_obj(st.gap),
             "pi": plmap_to_obj(st.pi),
-            "sigma_next": plmap_to_obj(st.sigma_next),
+            "sigma_next": sigma_obj,
             "shifted": ndset_to_obj(st.shifted),
-        } for st in trace.steps],
-    }
+        })
+    return {"streamHash": stream_hash(stream), "N": len(steps) - 1,
+            "steps": steps}
+
+
+_UNREAD = object()  # equal to no JSON value
 
 
 def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
@@ -248,7 +255,16 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         raise _fail("malformed trace header")
     if not isinstance(o["steps"], list):
         raise _fail("malformed trace: steps must be a list")
+    # construct writes step 0 at least; an empty trace certifies nothing
+    if not o["steps"]:
+        raise _fail("malformed trace: steps must not be empty")
+    if o["N"] < 0:
+        raise _fail("malformed trace header: N must be nonnegative")
     steps: List[ShiftStep] = []
+    # a map record equal to the previous step's decodes to an equal map,
+    # and a malformed one raised at its first occurrence: each run of
+    # equal records is decoded once
+    pi_obj = sigma_obj = _UNREAD
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
         if not _is_int(s["n"]):
@@ -260,14 +276,13 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         if gap.lower is None or gap.upper is None:
             # the verifier tests every gap as a closed interval
             raise _fail(f"malformed trace step {i}: J must be bounded")
-        steps.append(ShiftStep(
-            s["n"],
-            interval_from_obj(s["I"]),
-            gap,
-            plmap_from_obj(s["pi"]),
-            plmap_from_obj(s["sigma_next"]),
-            ndset_from_obj(s["shifted"]),
-        ))
+        interval = interval_from_obj(s["I"])
+        if s["pi"] != pi_obj:
+            pi_obj, pi = s["pi"], plmap_from_obj(s["pi"])
+        if s["sigma_next"] != sigma_obj:
+            sigma_obj, sigma = s["sigma_next"], plmap_from_obj(s["sigma_next"])
+        steps.append(ShiftStep(s["n"], interval, gap, pi, sigma,
+                               ndset_from_obj(s["shifted"])))
     return ShiftTrace(steps), o["streamHash"], o["N"]
 
 

@@ -277,6 +277,20 @@ def test_boolean_step_n_is_input_error(tmp_path):
                         "n must be an int")
 
 
+def test_empty_trace_or_negative_n_is_input_error(tmp_path):
+    # the header of an empty trace can match it, yet it certifies nothing
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert _cli("construct", "--stream", spec, "--steps", "1",
+                "--out", str(out)).returncode == 0
+    blob = json.loads(out.read_text())
+    for edit, needle in (({"N": -1, "steps": []}, "steps must not be empty"),
+                         ({"N": -1}, "N must be nonnegative")):
+        out.write_text(json.dumps({**blob, **edit}))
+        _assert_input_error(_cli("verify", "--stream", spec, "--out", str(out)),
+                            needle)
+
+
 def test_report_and_trace_bytes_match_json_dumps(tmp_path, capsys):
     from qshift.serial import canon_dumps
 

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -14,6 +15,9 @@ from qshift.plmaps import PLMap, squeeze_map
 from qshift.rationals import Interval, Q, rat_str, simplest_between
 from qshift.sampling import (rng_geomtail, rng_interval, rng_ndset,
                              rng_rational)
+from qshift.serial import (canon_dumps, interval_from_obj, ndset_from_obj,
+                           plmap_from_obj, plmap_to_obj, trace_from_obj,
+                           trace_to_obj)
 from qshift.subgroups import fix_violation
 
 
@@ -322,6 +326,57 @@ def test_verifier_matches_scratch_replay():
             unfixed += any(name == "fixes-shifted" and not ok
                            for name, _, ok, _ in want[:-6 - len(steps) ** 2])
     assert unfixed >= len(streams)
+
+
+# -- decoded traces share repeated maps ------------------------------------------
+
+def fresh_decode(obj):
+    """Reference reader: every record of a trace object decoded on its own."""
+    return ShiftTrace([ShiftStep(s["n"], interval_from_obj(s["I"]),
+                                 interval_from_obj(s["J"]),
+                                 plmap_from_obj(s["pi"]),
+                                 plmap_from_obj(s["sigma_next"]),
+                                 ndset_from_obj(s["shifted"]))
+                       for s in obj["steps"]])
+
+
+def test_decoded_traces_share_repeated_maps():
+    point = EStream([ndset_points(rational_enum(i)) for i in range(62)])
+    cases = [(point, 60)] + [(s, 12) for s in tail_streams(Random(2024), 3, 14)]
+    for s, upto in cases:
+        text = canon_dumps(trace_to_obj(run_shift_construction(s, upto), s))
+        obj = json.loads(text)
+        steps, raw = trace_from_obj(obj)[0].steps, obj["steps"]
+        assert steps == fresh_decode(obj).steps
+        for key in ("pi", "sigma_next"):
+            # a map is shared exactly where its record repeats the last one
+            shared = [getattr(b, key) is getattr(a, key)
+                      for a, b in zip(steps, steps[1:])]
+            assert shared == [b[key] == a[key] for a, b in zip(raw, raw[1:])]
+        if s is point:
+            assert sum(b.sigma_next is a.sigma_next
+                       for a, b in zip(steps, steps[1:])) >= 50
+            point_text = text
+
+    # tamper with a repeated sigma_next, alone and with the repeats after it
+    raw = json.loads(point_text)["steps"]
+    k = next(k for k in range(1, len(raw) - 1)
+             if raw[k - 1]["sigma_next"] == raw[k]["sigma_next"]
+             == raw[k + 1]["sigma_next"])
+    run = [k]
+    while (run[-1] + 1 < len(raw)
+           and raw[run[-1] + 1]["sigma_next"] == raw[k]["sigma_next"]):
+        run.append(run[-1] + 1)
+    bad = plmap_to_obj(PLMap.translation(Q(1, 7)).compose(
+        plmap_from_obj(raw[k]["sigma_next"])))
+    for tampered in ([k], run):
+        edited = json.loads(point_text)
+        for j in tampered:
+            edited["steps"][j]["sigma_next"] = bad
+        report = verify_shift_trace(trace_from_obj(edited)[0], point)
+        got = [(c.name, c.index, c.ok, c.detail) for c in report.checks]
+        assert got == scratch_replay_records(fresh_decode(edited), point)
+        assert [c.index for c in report.failures] == tampered
 
 
 # -- evacuate's postconditions --------------------------------------------------

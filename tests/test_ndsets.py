@@ -9,7 +9,8 @@ from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
 from qshift.rationals import Interval, Q
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
-                             rng_interval, rng_positive_rational, rng_rational)
+                             rng_interval, rng_positive_rational, rng_rational,
+                             sample_points)
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -84,7 +85,7 @@ def test_image_with_breakpoint_pointwise_oracle():
     for k in range(12):
         assert img.contains(f.apply(tail.term(k))), k
     # and the reverse direction of the membership equivalence
-    for p in img.sample_points(12):
+    for p in sample_points(img, 12):
         assert e.contains(f.apply_inverse(p))
 
 

@@ -323,6 +323,30 @@ def test_identity_is_shared():
     assert PLMap.identity().is_identity
 
 
+def test_compose_with_identity_is_the_other_map():
+    rng = Random(4243)
+    # the shared identity, a decoded one, and one canonicalized from
+    # redundant breakpoints
+    identities = [PLMap.identity(), PLMap([(0, 0)]), PLMap([(1, 1), (2, 2)])]
+    assert all(i.is_identity for i in identities)
+    assert identities[1] is not identities[0]
+    near = [PLMap([(0, 0)], 1, 2), PLMap([(0, 0)], 2, 1),
+            PLMap.translation(Q(1, 1000)), PLMap.scaling(Q(999, 1000)),
+            PLMap([(0, 0), (1, 2), (3, 3)])]
+    assert not any(f.is_identity for f in near)
+    maps = near + [rng_plmap(rng) for _ in range(30)]
+    maps += [bump_product(rng) for _ in range(10)]
+    for i in identities:
+        for f in maps:
+            assert i.compose(f) is f
+            assert f.compose(i) is f
+        assert i.compose(identities[1]) is identities[1]
+    for f in near:
+        for g in maps:
+            assert_compose_matches(f, g)
+            assert_compose_matches(g, f)
+
+
 
 def squeeze_oracle(cover, targets):
     """The squeeze map's breakpoints run through the public constructor."""
