@@ -9,7 +9,7 @@ from .construction import (EStream, EvacuationError, ShiftTrace,
                            witness_subgroup)
 from .hfa import Atom, SeqNode, SetNode, act, atom_seq, atoms_support, in_sym
 from .ndsets import EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict, ndset_points
-from .plmaps import PLMap, compose_all, squeeze_map
+from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, rat, rat_str
 from .reporting import Check, Report
 from .subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "Q", "Interval", "rat", "rat_str",
-    "PLMap", "compose_all", "squeeze_map",
+    "PLMap", "squeeze_map",
     "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points", "SubsetVerdict",
     "Atom", "SetNode", "SeqNode", "atom_seq", "act", "atoms_support", "in_sym",
     "FULL_GROUP", "Fix", "Stab", "Conj", "Inter", "member", "normalize",

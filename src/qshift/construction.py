@@ -236,6 +236,8 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
 # -- the recursion ------------------------------------------------------------
 
 class ShiftStep:
+    # ``shifted`` is an NDSet, or a record read from a trace file that
+    # compares equal to the sets it encodes (serial.RecordedSet)
     __slots__ = ("n", "interval", "gap", "pi", "sigma_next", "shifted")
 
     def __init__(self, n: int, interval: Interval, gap: Interval,
@@ -342,6 +344,8 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
         else:
             derived = stream.level(n).image(sigma)
         shifted.append(derived)
+        # a record read from a file is decoded only when its canonical
+        # text differs from the derived set's encoding
         report.add("shifted-matches", derived == step.shifted, n)
         report.add("interval-enumeration",
                    step.interval == canonical_interval(n), n)

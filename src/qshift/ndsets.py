@@ -287,7 +287,11 @@ class NDSet:
         return (self.points, tuple(t._key() for t in self.tails))
 
     def __eq__(self, other):
-        return isinstance(other, NDSet) and self._key() == other._key()
+        # another presentation type (a set as a trace records it) may
+        # compare itself with a set
+        if not isinstance(other, NDSet):
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -414,12 +418,6 @@ class NDSet:
             if above is not None and (hi is None or above < hi):
                 hi = above
         return lo, hi
-
-    def nearest_closure_below(self, q) -> Optional[Q]:
-        return self.neighbours(q)[0]
-
-    def nearest_closure_above(self, q) -> Optional[Q]:
-        return self.neighbours(q)[1]
 
     def find_gap(self, interval: Interval) -> Interval:
         """Deterministic rational (a, b) with [a, b] inside the interval

@@ -229,6 +229,16 @@ class PLMap:
                                   slopes)
         return PLMap._trusted(ys, xs, slopes)
 
+    def fixes_closed(self, a: Q, b: Q) -> bool:
+        """Whether the map fixes every point of [a, b], for a <= b: it
+        fixes both ends and every breakpoint between them, and it is
+        linear between neighbouring ones, hence the identity there."""
+        xs, ys = self._xs, self._ys
+        if self.apply(a) != a or self.apply(b) != b:
+            return False
+        return all(xs[i] == ys[i]
+                   for i in range(bisect_right(xs, a), bisect_left(xs, b)))
+
     def first_moved(self, points: Sequence[Q]) -> Optional[Q]:
         """The first of the increasing ``points`` that the map moves, or
         None.  Points in a piece on which the map is the identity are
@@ -250,14 +260,6 @@ class PLMap:
 
 
 _IDENTITY = PLMap(((0, 0),))
-
-
-def compose_all(maps: Sequence[PLMap]) -> PLMap:
-    """Compose maps left to right: compose_all([f, g]) == f . g."""
-    out = PLMap.identity()
-    for m in maps:
-        out = out.compose(m)
-    return out
 
 
 def squeeze_map(cover: Interval,
@@ -305,4 +307,4 @@ def squeeze_map(cover: Interval,
     return PLMap._trusted(*_canonicalize(bps, Q(1), Q(1)))
 
 
-__all__ = ["PLMap", "compose_all", "squeeze_map", "OrderInconsistentTargets"]
+__all__ = ["PLMap", "squeeze_map", "OrderInconsistentTargets"]

@@ -227,6 +227,35 @@ def stream_hash(s: EStream) -> str:
     return hashlib.sha256(canon_dumps(stream_to_obj(s)).encode()).hexdigest()
 
 
+class RecordedSet:
+    """A trace's ``shifted`` record, kept as parsed JSON.
+
+    The verifier only compares a recorded set with the set it re-derives,
+    so the record is decoded only when its canonical text differs from
+    that of the derived set's encoding: a record with the same text as
+    the encoding of a normalized set decodes to that set.  The decode
+    keeps every verdict of a full decode: an equal record that is not in
+    normal form still compares equal, and a malformed one raises
+    SerializationError.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: Any):
+        self.raw = raw
+
+    def decode(self) -> NDSet:
+        return ndset_from_obj(self.raw)
+
+    def __eq__(self, other):
+        if isinstance(other, RecordedSet):
+            return self.decode() == other.decode()
+        if not isinstance(other, NDSet):
+            return NotImplemented
+        return (canon_dumps(ndset_to_obj(other)) == canon_dumps(self.raw)
+                or self.decode() == other)
+
+
 def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
     steps = []
     sigma, sigma_obj = None, None
@@ -234,13 +263,16 @@ def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
         # an identity pi keeps sigma: each run of one map is encoded once
         if st.sigma_next is not sigma:
             sigma, sigma_obj = st.sigma_next, plmap_to_obj(st.sigma_next)
+        shifted = st.shifted
+        if isinstance(shifted, RecordedSet):
+            shifted = shifted.decode()
         steps.append({
             "n": st.n,
             "I": interval_to_obj(st.interval),
             "J": interval_to_obj(st.gap),
             "pi": plmap_to_obj(st.pi),
             "sigma_next": sigma_obj,
-            "shifted": ndset_to_obj(st.shifted),
+            "shifted": ndset_to_obj(shifted),
         })
     return {"streamHash": stream_hash(stream), "N": len(steps) - 1,
             "steps": steps}
@@ -263,7 +295,8 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     steps: List[ShiftStep] = []
     # a map record equal to the previous step's decodes to an equal map,
     # and a malformed one raised at its first occurrence: each run of
-    # equal records is decoded once
+    # equal records is decoded once.  Shifted sets stay undecoded until
+    # they are compared (RecordedSet)
     pi_obj = sigma_obj = _UNREAD
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
@@ -282,7 +315,7 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         if s["sigma_next"] != sigma_obj:
             sigma_obj, sigma = s["sigma_next"], plmap_from_obj(s["sigma_next"])
         steps.append(ShiftStep(s["n"], interval, gap, pi, sigma,
-                               ndset_from_obj(s["shifted"])))
+                               RecordedSet(s["shifted"])))
     return ShiftTrace(steps), o["streamHash"], o["N"]
 
 
@@ -347,7 +380,7 @@ __all__ = [
     "SerializationError", "canon_dumps", "interval_to_obj", "interval_from_obj",
     "plmap_to_obj", "plmap_from_obj", "ndset_to_obj", "ndset_from_obj",
     "hfa_to_obj", "hfa_from_obj", "term_to_obj", "term_from_obj",
-    "stream_to_obj", "stream_from_obj", "stream_hash",
+    "stream_to_obj", "stream_from_obj", "stream_hash", "RecordedSet",
     "trace_to_obj", "trace_from_obj", "instance_to_obj", "instance_from_obj",
     "write_json_file", "read_json_file",
 ]

@@ -2,9 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
+from random import Random
 
+from qshift import cli, serial
 from qshift.cli import main
+from qshift.construction import EStream, ShiftStep, ShiftTrace, rational_enum
+from qshift.ndsets import NDSet, ndset_points
+from qshift.sampling import rng_geomtail, rng_rational
+from qshift.serial import ndset_from_obj, stream_to_obj, write_json_file
 
 SPECS = resources.files("qshift").joinpath("specs")
 
@@ -363,3 +370,179 @@ def test_verify_survives_every_field_mutation(tmp_path, capsys):
             codes[code] = codes.get(code, 0) + 1
     capsys.readouterr()
     assert codes[1] >= 50 and codes[2] >= 500, codes
+
+
+# -- verify decodes a recorded shifted set only on a mismatch -----------------
+
+def eager_trace_from_obj(o):
+    """Reference reader: the trace as trace_from_obj reads it, with every
+    recorded shifted set decoded at once."""
+    trace, recorded_hash, n = serial.trace_from_obj(o)
+    return ShiftTrace([ShiftStep(s.n, s.interval, s.gap, s.pi, s.sigma_next,
+                                 ndset_from_obj(s.shifted.raw))
+                       for s in trace.steps]), recorded_hash, n
+
+
+def verify_both_ways(monkeypatch, capsys, spec, trace):
+    """verify's (exit code, stdout, stderr), asserted equal to what it
+    gives with the eager reference reader."""
+    runs = []
+    for reader in (serial.trace_from_obj, eager_trace_from_obj):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "trace_from_obj", reader)
+            capsys.readouterr()
+            code = run_cli("verify", "--stream", str(spec), "--out", str(trace))
+            runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def _stream_files(tmp_path):
+    """A singleton stream like qbench's point_stream and seeded tail
+    streams, written as spec files, with the last step to construct."""
+    point = EStream([ndset_points(rational_enum(i)) for i in range(22)])
+    rng = Random(2026)
+    streams = [(point, 20)] + [
+        (EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                  for _ in range(10)]), 8) for _ in range(3)]
+    for i, (s, upto) in enumerate(streams):
+        path = tmp_path / f"stream{i}.json"
+        write_json_file(str(path), stream_to_obj(s))
+        yield path, upto
+
+
+def _tampered_shifted(rec):
+    """(label, record, expected exit) for each applicable edit of a
+    recorded shifted set: equal sets out of normal form, malformed head
+    drops and an unequal set."""
+    def edit(fn):
+        out = json.loads(json.dumps(rec))
+        fn(out)
+        return out
+    if len(rec["points"]) > 1:
+        yield "reordered", edit(lambda r: r["points"].reverse()), 0
+    if rec["tails"]:
+        t = rec["tails"][0]
+        term = Fraction(t["limit"]) + Fraction(t["coeff"]) * Fraction(t["ratio"])
+        yield "point on tail", edit(lambda r: r["points"].append(str(term))), 0
+
+        def drop_head(r):
+            r["tails"][0]["coeff"] = str(Fraction(t["coeff"]) / Fraction(t["ratio"]))
+            r["tails"][0]["headDrop"] = 1
+        yield "head drop", edit(drop_head), 0
+        for drop in (False, 0.0):
+            yield (f"headDrop {drop!r}",
+                   edit(lambda r: r["tails"][0].update(headDrop=drop)), 2)
+    if rec["points"]:
+        yield "point missing", edit(lambda r: r["points"].pop()), 1
+
+
+def test_lazy_verify_matches_eager_on_intact_and_tampered_traces(
+        tmp_path, capsys, monkeypatch):
+    out, bad = tmp_path / "trace.json", tmp_path / "bad.json"
+    kinds = {}
+    for spec, upto in _stream_files(tmp_path):
+        assert run_cli("construct", "--stream", str(spec), "--steps",
+                       str(upto), "--out", str(out)) == 0
+        code, intact, err = verify_both_ways(monkeypatch, capsys, spec, out)
+        assert code == 0 and err == ""
+        blob = json.loads(out.read_text())
+        for k, step in enumerate(blob["steps"]):
+            for label, rec, want in _tampered_shifted(step["shifted"]):
+                edited = json.loads(json.dumps(blob))
+                edited["steps"][k]["shifted"] = rec
+                bad.write_text(json.dumps(edited))
+                code, text, err = verify_both_ways(monkeypatch, capsys,
+                                                   spec, bad)
+                assert code == want, (label, k)
+                if want == 0:
+                    assert text == intact and err == ""
+                elif want == 2:
+                    assert text == "" and err == (
+                        "input error: malformed tail: headDrop must be a "
+                        "nonnegative int\n")
+                else:
+                    failed = [json.loads(line) for line in text.splitlines()
+                              if '"ok":false' in line]
+                    assert failed == [{"check": "shifted-matches", "ok": False,
+                                       "mode": "exact", "n": k}]
+                kinds[label] = kinds.get(label, 0) + 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
+
+
+def test_lazy_verify_matches_eager_on_every_field_mutation(
+        tmp_path, capsys, monkeypatch):
+    # the mutations of test_verify_survives_every_field_mutation
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    text = out.read_text()
+    bad = tmp_path / "bad.json"
+    codes = []
+    for path in _json_paths(json.loads(text)):
+        for value in (None, 7, [], {}, "1/0", "2"):
+            mutated = json.loads(text)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            if node[path[-1]] == value:
+                continue
+            node[path[-1]] = value
+            bad.write_text(json.dumps(mutated))
+            codes.append(verify_both_ways(monkeypatch, capsys, spec, bad)[0])
+    assert len(codes) == 673 and set(codes) == {1, 2}
+
+
+def test_shifted_record_is_read_after_every_other_field(tmp_path, capsys):
+    # verify decodes a recorded shifted set when it compares it, after the
+    # whole trace was read: a later step's malformed map is reported before
+    # an earlier step's malformed shifted set
+    spec = str(SPECS / "tail_start.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    blob["steps"][0]["shifted"]["tails"][0]["headDrop"] = False
+    good_pi = blob["steps"][2]["pi"]
+    messages = []
+    for pi in (dict(good_pi, leftSlope="0"), good_pi):
+        blob["steps"][2]["pi"] = pi
+        out.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert run_cli("verify", "--stream", spec, "--out", str(out)) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        messages.append(got.err)
+    assert messages == [
+        "input error: malformed map: ray slopes must be positive\n",
+        "input error: malformed tail: headDrop must be a nonnegative int\n"]
+
+
+def test_verify_decodes_only_mismatched_shifted_records(
+        tmp_path, capsys, monkeypatch):
+    spec = str(SPECS / "tail_start.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "8",
+                   "--out", str(out)) == 0
+    decoded = []
+    real = serial.ndset_from_obj
+
+    def counting(o):
+        decoded.append(o)
+        return real(o)
+    monkeypatch.setattr(serial, "ndset_from_obj", counting)
+    increments = json.loads(SPECS.joinpath("tail_start.json").read_text())[
+        "increments"]
+    assert run_cli("verify", "--stream", spec, "--out", str(out)) == 0
+    assert decoded == increments
+
+    blob = json.loads(out.read_text())
+    k = max(k for k, st in enumerate(blob["steps"])
+            if len(st["shifted"]["points"]) > 1)
+    blob["steps"][k]["shifted"]["points"].reverse()
+    out.write_text(json.dumps(blob))
+    decoded.clear()
+    assert run_cli("verify", "--stream", spec, "--out", str(out)) == 0
+    assert decoded == increments + [blob["steps"][k]["shifted"]]
+    capsys.readouterr()

@@ -154,15 +154,15 @@ def test_subset_of_closure_no_with_point_witness():
 
 def test_nearest_closure_queries():
     e = NDSet([Q(10)], [GeomTail(0, 1, Q(1, 2))])
-    assert e.nearest_closure_below(Q(3, 4)) == Q(1, 2)
-    assert e.nearest_closure_above(Q(3, 4)) == Q(1)
-    assert e.nearest_closure_above(Q(2)) == Q(10)
-    assert e.nearest_closure_below(Q(-5)) is None
-    assert e.nearest_closure_above(Q(11)) is None
+    assert e.neighbours(Q(3, 4))[0] == Q(1, 2)
+    assert e.neighbours(Q(3, 4))[1] == Q(1)
+    assert e.neighbours(Q(2))[1] == Q(10)
+    assert e.neighbours(Q(-5))[0] is None
+    assert e.neighbours(Q(11))[1] is None
     # below-the-limit side of a positive tail is empty
-    assert e.nearest_closure_below(Q(-1, 2)) is None
+    assert e.neighbours(Q(-1, 2))[0] is None
     with pytest.raises(ValueError):
-        e.nearest_closure_below(Q(1, 4))  # in the closure
+        e.neighbours(Q(1, 4))  # in the closure
 
 
 def test_closure_meets_closed():
@@ -311,8 +311,8 @@ def test_ordered_queries_match_linear_scans():
             for t in e.tails:
                 assert t.contains(q) == tail_member_scan(t, q), (t, q)
             if not e.closure_contains(q):
-                assert e.nearest_closure_below(q) == scan_nearest(e, q, True)
-                assert e.nearest_closure_above(q) == scan_nearest(e, q, False)
+                assert e.neighbours(q)[0] == scan_nearest(e, q, True)
+                assert e.neighbours(q)[1] == scan_nearest(e, q, False)
         for _ in range(8):
             a, b = sorted(rng.sample(qs, 2))
             assert e.closure_meets_closed(a, b) == \

@@ -9,12 +9,12 @@ from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Interval, Q
 from qshift.sampling import rng_hfa, rng_ndset, rng_plmap
-from qshift.serial import (SerializationError, canon_dumps, hfa_from_obj,
-                           hfa_to_obj, interval_from_obj, interval_to_obj,
-                           ndset_from_obj, ndset_to_obj, plmap_from_obj,
-                           plmap_to_obj, stream_from_obj, stream_hash,
-                           stream_to_obj, term_from_obj, term_to_obj,
-                           trace_from_obj, trace_to_obj)
+from qshift.serial import (RecordedSet, SerializationError, canon_dumps,
+                           hfa_from_obj, hfa_to_obj, interval_from_obj,
+                           interval_to_obj, ndset_from_obj, ndset_to_obj,
+                           plmap_from_obj, plmap_to_obj, stream_from_obj,
+                           stream_hash, stream_to_obj, term_from_obj,
+                           term_to_obj, trace_from_obj, trace_to_obj)
 from qshift.subgroups import FULL_GROUP, Conj, Fix, Inter, Stab
 
 
@@ -119,3 +119,38 @@ def test_trace_header_validation():
         trace_from_obj({"streamHash": 5, "N": 0, "steps": []})
     with pytest.raises(SerializationError):
         trace_from_obj({"streamHash": "x", "N": 0})
+
+
+def test_recorded_set_compares_from_either_side():
+    e = NDSet([Q(3), Q(-1)], [GeomTail(0, 1, Q(1, 2))])
+    rec = RecordedSet(json.loads(canon_dumps(ndset_to_obj(e))))
+    assert rec == e and e == rec and not rec != e and not e != rec
+    other = ndset_points(Q(3))
+    assert rec != other and other != rec
+    assert rec != "not a set" and rec != None  # noqa: E711
+    # the same set out of normal form: points unsorted, a tail term listed
+    # as a point, the tail given with a dropped head
+    loose = RecordedSet({"points": ["3", "1/2", "-1"], "tails": [
+        {"limit": "0", "coeff": "2", "ratio": "1/2", "headDrop": 1}]})
+    assert loose == e and e == loose and loose == rec and rec == loose
+    for drop in (False, 0.0, -1):
+        bad = RecordedSet({"points": [], "tails": [
+            {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": drop}]})
+        with pytest.raises(SerializationError):
+            bad == e
+        with pytest.raises(SerializationError):
+            e == bad
+
+
+def test_decoded_trace_reencodes_canonically():
+    stream = EStream([NDSet([Q(1, 3)], [GeomTail(0, 1, Q(1, 2))]),
+                      ndset_points(Q(-2), Q(5))])
+    trace = run_shift_construction(stream, 2)
+    blob = canon_dumps(trace_to_obj(trace, stream))
+    obj = json.loads(blob)
+    # an equal record out of normal form is written in normal form
+    obj["steps"][1]["shifted"]["points"].reverse()
+    assert canon_dumps(obj) != blob
+    parsed = trace_from_obj(obj)[0]
+    assert parsed == trace and trace == parsed
+    assert canon_dumps(trace_to_obj(parsed, stream)) == blob

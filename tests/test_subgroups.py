@@ -9,8 +9,8 @@ from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
                            ndset_points, tail_final_piece)
 from qshift.plmaps import PLMap, squeeze_map
 from qshift.rationals import Interval, Q
-from qshift.sampling import (fix_members, rng_hfa, rng_ndset, rng_plmap,
-                             rng_rational)
+from qshift.sampling import (fix_members, rng_geomtail, rng_hfa, rng_ndset,
+                             rng_plmap, rng_rational)
 from qshift.subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
                               ShiftProblem, Stab, check_shift_witness,
                               fix_leq, fix_violation, member, normalize)
@@ -211,6 +211,26 @@ def test_fix_violation_matches_full_scan():
             outcomes["moved"] += 1
             outcomes["on-breakpoint"] += got in xs
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_fix_violation_matches_full_scan_on_tail_streams():
+    # every step's map against the set it fixes and the set it moves
+    rng = Random(1212)
+    moved = skipped = 0
+    for _ in range(8):
+        s = EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                     for _ in range(14)])
+        trace = run_shift_construction(s, 12)
+        for step, sigma in zip(trace.steps, trace.sigmas):
+            moving = s.level(step.n + 1).image(sigma)
+            for support in (step.shifted, moving):
+                got = fix_violation(step.pi, support)
+                assert got == fix_violation_scan(step.pi, support)
+                moved += got is not None
+                if not step.pi.is_identity:
+                    skipped += sum(step.pi.fixes_closed(t.lo, t.hi)
+                                   for t in support.tails)
+    assert moved >= 10 and skipped >= 50, (moved, skipped)
 
 
 def test_first_moved_skips_identity_pieces():
