@@ -22,13 +22,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet
 from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, Q, rat_str, simplest_between
 from .reporting import Report
 from .subgroups import fix_violation
+
+if TYPE_CHECKING:
+    from .serial import RecordedSet
 
 # -- canonical enumerations -------------------------------------------------
 
@@ -237,11 +240,13 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
 
 class ShiftStep:
     # ``shifted`` is an NDSet, or a record read from a trace file that
-    # compares equal to the sets it encodes (serial.RecordedSet)
+    # compares equal to the sets it encodes and decodes to one
+    # (serial.RecordedSet)
     __slots__ = ("n", "interval", "gap", "pi", "sigma_next", "shifted")
 
     def __init__(self, n: int, interval: Interval, gap: Interval,
-                 pi: PLMap, sigma_next: PLMap, shifted: NDSet):
+                 pi: PLMap, sigma_next: PLMap,
+                 shifted: Union[NDSet, RecordedSet]):
         self.n = n
         self.interval = interval
         self.gap = gap
@@ -310,7 +315,10 @@ def witness_subgroup(trace: ShiftTrace) -> NDSet:
     subgroup below every shifted stabilizer of the prefix."""
     out = EMPTY_NDSET
     for step in trace.steps:
-        out = out.union(step.shifted)
+        shifted = step.shifted
+        if not isinstance(shifted, NDSet):
+            shifted = shifted.decode()
+        out = out.union(shifted)
     return out
 
 

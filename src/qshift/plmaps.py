@@ -229,16 +229,6 @@ class PLMap:
                                   slopes)
         return PLMap._trusted(ys, xs, slopes)
 
-    def fixes_closed(self, a: Q, b: Q) -> bool:
-        """Whether the map fixes every point of [a, b], for a <= b: it
-        fixes both ends and every breakpoint between them, and it is
-        linear between neighbouring ones, hence the identity there."""
-        xs, ys = self._xs, self._ys
-        if self.apply(a) != a or self.apply(b) != b:
-            return False
-        return all(xs[i] == ys[i]
-                   for i in range(bisect_right(xs, a), bisect_left(xs, b)))
-
     def first_moved(self, points: Sequence[Q]) -> Optional[Q]:
         """The first of the increasing ``points`` that the map moves, or
         None.  Points in a piece on which the map is the identity are

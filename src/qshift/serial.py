@@ -252,8 +252,14 @@ class RecordedSet:
             return self.decode() == other.decode()
         if not isinstance(other, NDSet):
             return NotImplemented
-        return (canon_dumps(ndset_to_obj(other)) == canon_dumps(self.raw)
-                or self.decode() == other)
+        try:
+            same_text = (canon_dumps(ndset_to_obj(other))
+                         == canon_dumps(self.raw))
+        except ValueError:
+            # a rational of more than _MAX_DIGITS digits has no text, and
+            # no record read from JSON holds one
+            same_text = False
+        return same_text or self.decode() == other
 
 
 def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:

@@ -135,9 +135,7 @@ def fix_violation(f: PLMap, support: NDSet):
 
     A tail is fixed iff the linear piece of f adjacent to its limit (on
     the terms' side) is the identity and the finitely many terms outside
-    that piece are fixed individually.  The identity moves nothing, and a
-    tail inside a closed interval that f fixes pointwise has no moved
-    term, so neither is examined term by term.
+    that piece are fixed individually.  The identity moves nothing.
     """
     if f.is_identity:
         return None
@@ -145,8 +143,6 @@ def fix_violation(f: PLMap, support: NDSet):
     if p is not None:
         return p
     for t in support.tails:
-        if f.fixes_closed(t.lo, t.hi):
-            continue
         k0, slope = tail_final_piece(f, t)
         if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
             return t.term(k0)

@@ -519,6 +519,31 @@ def test_shifted_record_is_read_after_every_other_field(tmp_path, capsys):
         "input error: malformed tail: headDrop must be a nonnegative int\n"]
 
 
+def test_verify_reports_a_replayed_set_too_long_for_text(tmp_path, capsys):
+    # pi_0 is still a valid map, with breakpoints of about 2200 digits, and
+    # it fixes shifted_0 = {0}; it sends increment 1's point 1 to a
+    # rational of more than 4300 digits, which str() refuses.  The
+    # mismatch is reported; it is no crash
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    assert all(st["pi"]["breakpoints"] == [["0", "0"]] for st in blob["steps"])
+    d = 10 ** 2200
+    blob["steps"][0]["pi"]["breakpoints"] = [
+        ["1/2", "1/2"], [f"{d}/{d + 1}", f"{d + 2}/{d + 3}"], ["3/2", "3/2"]]
+    out.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run_cli("verify", "--stream", spec, "--out", str(out)) == 1
+    got = capsys.readouterr()
+    assert got.err == ""
+    failed = {(r["check"], r["n"]) for r in map(json.loads, got.out.splitlines())
+              if r.get("ok") is False}
+    assert failed == {("shifted-matches", n) for n in (1, 2, 3)} | {
+        ("sigma-telescoping", n) for n in (0, 1, 2, 3)}
+
+
 def test_verify_decodes_only_mismatched_shifted_records(
         tmp_path, capsys, monkeypatch):
     spec = str(SPECS / "tail_start.json")

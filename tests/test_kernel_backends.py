@@ -207,3 +207,27 @@ def test_no_fraction_in_compiled_kernel_objects(speedups):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 1000
+
+
+# The walk above meets a read trace's shifted sets as the parsed JSON they
+# are kept as; this one decodes them first and walks the sets.
+DECODED_WALKER = WALKER.split("total = 0")[0] + """
+total = 0
+for name in ("empty.json", "dense_singletons.json", "tail_start.json"):
+    stream = stream_from_obj(read_json_file(os.path.join(sys.argv[2], name)))
+    trace = run_shift_construction(stream, 10)
+    read_back, _, _ = trace_from_obj(trace_to_obj(trace, stream))
+    total += walk([st.shifted.decode() for st in read_back.steps],
+                  f"{name}:decoded")
+print(total)
+"""
+
+
+def test_no_fraction_in_decoded_shifted_sets(speedups):
+    specs = resources.files("qshift").joinpath("specs")
+    proc = subprocess.run(
+        [sys.executable, "-c", DECODED_WALKER, speedups.__file__, str(specs)],
+        env=dict(os.environ, QSHIFT_BACKEND="speedups"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 100

@@ -381,35 +381,3 @@ def test_squeeze_map_matches_public_constructor(monkeypatch):
         want = squeeze_oracle(cover, targets)
         assert got == want and got._slopes == want._slopes, (cover, targets)
         assert_public(got)
-
-
-def test_fixes_closed_matches_pointwise_scan():
-    """Reference: the map at both ends, at every breakpoint between them
-    and at the midpoint of each piece in between."""
-    rng = Random(4242)
-    outcomes = {True: 0, False: 0, "fixed over a breakpoint": 0}
-    for _ in range(400):
-        kind = rng.random()
-        if kind < 0.1:
-            # its nominal breakpoint is the only one a fixed interval of a
-            # canonical map can hold inside
-            f = PLMap.identity()
-        elif kind < 0.55:
-            f = rng_plmap(rng)
-        else:
-            # a bump: the identity outside (c, d)
-            c = rng_rational(rng, 10)
-            d = c + 1 + abs(rng_rational(rng, 10))
-            f = PLMap([(c, c), ((2 * c + d) / 3, (c + d) / 2), (d, d)])
-        xs = [x for x, _ in f.breakpoints]
-        ends = xs + [x + rng.choice((-1, 1)) * Q(1, 7) for x in xs]
-        ends += [rng_rational(rng, 10) for _ in range(3)]
-        a, b = sorted(rng.choice(ends) for _ in range(2))
-        probe = sorted({a, b} | {x for x in xs if a < x < b})
-        probe += [(u + v) / 2 for u, v in zip(probe, probe[1:])]
-        got = f.fixes_closed(a, b)
-        assert got == all(f.apply(q) == q for q in probe), (f, a, b)
-        outcomes[got] += 1
-        outcomes["fixed over a breakpoint"] += got and len(probe) > 3
-    assert (outcomes[True] >= 50 and outcomes[False] >= 50
-            and outcomes["fixed over a breakpoint"] >= 5), outcomes

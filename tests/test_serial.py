@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from qshift.construction import EStream, run_shift_construction
+from qshift.construction import (EStream, run_shift_construction,
+                                 witness_subgroup)
 from qshift.hfa import Atom, SeqNode, SetNode
 from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
@@ -140,6 +141,25 @@ def test_recorded_set_compares_from_either_side():
             bad == e
         with pytest.raises(SerializationError):
             e == bad
+
+
+def test_recorded_set_against_a_set_with_no_text():
+    # a rational of more than 4300 digits has no str(); the record is
+    # compared by decoding it instead
+    huge = NDSet([Q(1, 3 ** 9100), Q(1)], [])
+    rec = RecordedSet({"points": ["1"], "tails": []})
+    assert rec != huge and huge != rec
+    assert RecordedSet({"points": ["1", "1/3"], "tails": []}) != huge
+
+
+def test_read_trace_gives_the_same_witness_subgroup():
+    stream = EStream([NDSet([Q(1, 3)], [GeomTail(0, 1, Q(1, 2))]),
+                      ndset_points(Q(-2), Q(5)), ndset_points(Q(7, 2))])
+    trace = run_shift_construction(stream, 3)
+    parsed = trace_from_obj(trace_to_obj(trace, stream))[0]
+    assert isinstance(parsed.steps[0].shifted, RecordedSet)
+    assert witness_subgroup(parsed) == witness_subgroup(trace)
+    assert not witness_subgroup(trace).is_empty
 
 
 def test_decoded_trace_reencodes_canonically():
