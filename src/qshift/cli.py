@@ -17,6 +17,7 @@ produce byte-identical files and output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from random import Random
@@ -129,6 +130,7 @@ def nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process, not once per call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qshift",
@@ -141,12 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=nonnegative, required=True,
                    help="last step index")
     p.add_argument("--out", required=True, help="trace output path")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a trace file")
     p.add_argument("--stream", required=True, help="stream spec JSON file")
     p.add_argument("--out", required=True, help="trace file to verify")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("theorem", help="check a theorem instance file")
     p.add_argument("--stream", required=True,
@@ -154,12 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=nonnegative, default=100,
                    help="samples per sampled check")
-    p.set_defaults(fn=cmd_theorem)
 
     p = sub.add_parser("props", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=nonnegative, default=200)
-    p.set_defaults(fn=cmd_props)
 
     return parser
 
@@ -167,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a replaced cmd_* is the one called
+        return globals()["cmd_" + args.command](args)
     except SerializationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -291,22 +291,24 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
     if upto < 0:
         raise ValueError("step count must be nonnegative")
     sigma = PLMap.identity()
-    shifted = stream.level(0)
+    shifted = stream.increment(0)
     blocked: List[Tuple[Q, Q]] = []
     steps: List[ShiftStep] = []
     for n in range(upto + 1):
-        # pi_{n-1} fixes sigma_{n-1}``E_{n-1}, so sigma_n``E_{n-1} is the
-        # previous shifted set and only the increment needs imaging
-        if n:
-            shifted = shifted.union(stream.increment(n).image(sigma))
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
         # kept merged, so evacuate's own merge walks a sorted list
         blocked = _merge_closed(blocked + [(gap.lower, gap.upper)])
-        moving = shifted.union(stream.increment(n + 1).image(sigma))
-        pi = evacuate(shifted, moving, blocked)
+        # evacuate's covers lie in gaps of the closure of shifted, and
+        # inside them shifted united with incoming looks like incoming
+        # alone: the increment's image gives the moving set's map
+        incoming = stream.increment(n + 1).image(sigma)
+        pi = evacuate(shifted, incoming, blocked)
         sigma = pi.compose(sigma)
         steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
+        # pi fixes shifted, so sigma_{n+1}``E_{n+1} is shifted united with
+        # pi``incoming
+        shifted = shifted.union(incoming.image(pi))
     return ShiftTrace(steps)
 
 
@@ -320,6 +322,15 @@ def witness_subgroup(trace: ShiftTrace) -> NDSet:
             shifted = shifted.decode()
         out = out.union(shifted)
     return out
+
+
+def _witness_text(q: Q) -> str:
+    # str() refuses an int of more than 4300 digits, and a tampered map can
+    # send a stream point to a rational that long
+    try:
+        return rat_str(q)
+    except ValueError:
+        return "a rational too long to print"
 
 
 def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
@@ -362,7 +373,7 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
         moved = fix_violation(step.pi, derived)
         chained &= report.add("fixes-shifted", moved is None, n,
                               detail="pi_n in Fix(shifted_n)" if moved is None
-                              else f"pi_n moves {rat_str(moved)}")
+                              else f"pi_n moves {_witness_text(moved)}")
         sigma = step.pi.compose(sigma)
         # an identity pi leaves sigma as it was, and a decoded trace shares
         # a repeated record; maps are immutable, so each pair of objects
@@ -390,7 +401,7 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
             w = row[m]
             report.add("gap-disjoint", w is None, m,
                        detail=f"J_{k}" if w is None
-                       else f"J_{k} contains {rat_str(w)}")
+                       else f"J_{k} contains {_witness_text(w)}")
     return report
 
 

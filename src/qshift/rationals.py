@@ -163,18 +163,6 @@ class Interval:
             return Interval(self.upper - 1, self.upper)
         return Interval(self.lower, self.lower + 1)
 
-    @property
-    def midpoint(self) -> Q:
-        if not self.is_finite:
-            raise ValueError("midpoint of an infinite interval")
-        return (self.lower + self.upper) / 2
-
-    @property
-    def width(self) -> Q:
-        if not self.is_finite:
-            raise ValueError("width of an infinite interval")
-        return self.upper - self.lower
-
 
 __all__ = [
     "BACKEND", "Q", "Interval", "rat", "parse_rational", "rat_str",

@@ -327,15 +327,6 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
 
 # -- theorem instances -------------------------------------------------------------
 
-def instance_to_obj(cert: BranchCertificate, hs) -> dict:
-    return {
-        "x": [hfa_to_obj(v) for v in cert.x],
-        "t": [hfa_to_obj(v) for v in cert.t],
-        "tau": [plmap_to_obj(m) for m in cert.tau],
-        "H": [term_to_obj(h) for h in hs],
-    }
-
-
 def instance_from_obj(o: Any):
     """Decode a theorem instance; the first declared group must be a
     pointwise stabilizer, whose support doubles as the orbit base."""
@@ -387,6 +378,6 @@ __all__ = [
     "plmap_to_obj", "plmap_from_obj", "ndset_to_obj", "ndset_from_obj",
     "hfa_to_obj", "hfa_from_obj", "term_to_obj", "term_from_obj",
     "stream_to_obj", "stream_from_obj", "stream_hash", "RecordedSet",
-    "trace_to_obj", "trace_from_obj", "instance_to_obj", "instance_from_obj",
+    "trace_to_obj", "trace_from_obj", "instance_from_obj",
     "write_json_file", "read_json_file",
 ]

@@ -544,6 +544,41 @@ def test_verify_reports_a_replayed_set_too_long_for_text(tmp_path, capsys):
         ("sigma-telescoping", n) for n in (0, 1, 2, 3)}
 
 
+def test_verify_reports_a_moved_point_too_long_for_text(tmp_path):
+    # pi_0 sends point 1 to a rational of about 4400 digits, past what
+    # str() converts, and pi_1 moves it: the failing fixes-shifted detail
+    # says so instead of ending in a traceback
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert _cli("construct", "--stream", spec, "--steps", "4",
+                "--out", str(out)).returncode == 0
+    blob = json.loads(out.read_text())
+    b, c = 10 ** 2199 + 7, 10 ** 2198 + 3
+    blob["steps"][0]["pi"]["breakpoints"] = [
+        ["0", "0"], [f"{b}/{b + 1}", f"{c}/{c + 1}"], ["2", "2"]]
+    blob["steps"][1]["pi"]["breakpoints"] = [
+        ["1/2", "1/2"], ["1", "11/10"], ["3/2", "3/2"]]
+    out.write_text(json.dumps(blob))
+    proc = _cli("verify", "--stream", spec, "--out", str(out))
+    assert proc.returncode == 1 and proc.stderr == ""
+    failed = [r for r in map(json.loads, proc.stdout.splitlines())
+              if r.get("check") == "fixes-shifted" and not r["ok"]]
+    assert failed == [{"check": "fixes-shifted", "mode": "exact", "n": 1,
+                       "ok": False,
+                       "detail": "pi_n moves a rational too long to print"}]
+
+
+def test_main_calls_the_cmd_function_bound_at_call_time(monkeypatch):
+    # tracers replace cli.cmd_* in the module namespace; main must not
+    # hold on to the original functions
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args) or 7)
+    assert run_cli("verify", "--stream", "s.json", "--out", "t.json") == 7
+    assert [(a.command, a.stream, a.out) for a in seen] == [
+        ("verify", "s.json", "t.json")]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_decodes_only_mismatched_shifted_records(
         tmp_path, capsys, monkeypatch):
     spec = str(SPECS / "tail_start.json")

@@ -282,6 +282,33 @@ def test_recorded_shifted_sets_are_whole_level_images():
                 assert s.level(k).image(sigmas[n]) == trace.steps[k].shifted
 
 
+def test_evacuating_the_increment_matches_the_whole_moving_set():
+    # the recursion hands evacuate only sigma_n``increment(n+1); the
+    # brute-force oracle evacuates the whole moving set shifted_n united
+    # with it, against the same merged gaps J_0..J_n
+    rng = Random(31)
+    streams = tail_streams(rng, 30, 13)
+    streams += [EStream([rng_ndset(rng, 3, 2) for _ in range(6)])
+                for _ in range(30)]
+    streams.append(EStream([ndset_points(rational_enum(i))
+                            for i in range(62)]))
+    moved = 0
+    for s in streams:
+        trace = run_shift_construction(s, len(s) - 2)
+        sigmas = trace.sigmas
+        gaps = []
+        for n, step in enumerate(trace.steps):
+            gaps.append((step.gap.lower, step.gap.upper))
+            blocked = _merge_closed(gaps)
+            incoming = s.increment(n + 1).image(sigmas[n])
+            pi = evacuate(step.shifted, incoming, blocked)
+            assert pi == step.pi
+            assert evacuate(step.shifted, step.shifted.union(incoming),
+                            blocked) == pi
+            moved += not pi.is_identity
+    assert moved >= 50
+
+
 def scratch_replay_records(trace, stream):
     """Reference verifier: every shifted set re-derived as the image of
     its whole level, every gap checked against every shifted set; records
