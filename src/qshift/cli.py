@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from importlib import resources
 from random import Random
@@ -49,7 +50,6 @@ def _print_report(report: Report, command: str) -> None:
 
 
 def _resolve_spec(name: str) -> str:
-    import os
     if os.path.exists(name):
         return name
     bundled = resources.files("qshift").joinpath("specs", name)
@@ -61,14 +61,15 @@ def _resolve_spec(name: str) -> str:
 def cmd_construct(args) -> int:
     stream = stream_from_obj(read_json_file(_resolve_spec(args.stream)))
     trace = run_shift_construction(stream, args.steps)
-    write_json_file(args.out, trace_to_obj(trace, stream))
+    obj = trace_to_obj(trace, stream)
+    write_json_file(args.out, obj)
     report = verify_shift_trace(trace, stream)
     if not report.passed:
         for check in report.failures:
             _emit(check.to_json_obj(), sys.stderr)
         return EXIT_FAIL
     _emit({"command": "construct", "passed": True, "steps": len(trace.steps),
-           "out": args.out, "streamHash": stream_hash(stream)})
+           "out": args.out, "streamHash": obj["streamHash"]})
     return EXIT_OK
 
 

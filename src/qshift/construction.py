@@ -24,11 +24,10 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
-from .ndsets import EMPTY_NDSET, NDSet
+from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, Q, rat_str, simplest_between
 from .reporting import Report
-from .subgroups import fix_violation
 
 if TYPE_CHECKING:
     from .serial import RecordedSet
@@ -295,6 +294,10 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
     blocked: List[Tuple[Q, Q]] = []
     steps: List[ShiftStep] = []
     for n in range(upto + 1):
+        if n:
+            # pi_{n-1} fixes shifted, so sigma_n``E_n is shifted united
+            # with pi_{n-1}``incoming; built only when a step uses it
+            shifted = shifted.union(incoming.image(pi))
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
         # kept merged, so evacuate's own merge walks a sorted list
@@ -306,9 +309,6 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
         pi = evacuate(shifted, incoming, blocked)
         sigma = pi.compose(sigma)
         steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
-        # pi fixes shifted, so sigma_{n+1}``E_{n+1} is shifted united with
-        # pi``incoming
-        shifted = shifted.union(incoming.image(pi))
     return ShiftTrace(steps)
 
 
@@ -383,22 +383,17 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
             telescopes = sigma == step.sigma_next
         report.add("sigma-telescoping", telescopes, n)
 
-    # witnesses[k][m]: closure point of shifted_m in [a_k, b_k], or None.
     # When every step index is right and every pi_m fixes shifted_m, the
     # replayed sets increase (shifted_{m+1} contains
     # sigma_{m+1}(E_m) = pi_m(shifted_m) = shifted_m), so one query
     # against the last set clears gap k for every m; a hit, or any earlier
-    # failure, falls back to querying each set.
-    witnesses = []
-    for step in trace.steps:
-        a, b = step.gap.lower, step.gap.upper
-        if chained and shifted[-1].closure_meets_closed(a, b) is None:
-            witnesses.append([None] * len(shifted))
-        else:
-            witnesses.append([s.closure_meets_closed(a, b) for s in shifted])
-    for m in range(len(shifted)):
-        for k, row in enumerate(witnesses):
-            w = row[m]
+    # failure, falls back to querying each set for gap k.
+    gaps = [(step.gap.lower, step.gap.upper) for step in trace.steps]
+    clear = [chained and shifted[-1].closure_meets_closed(a, b) is None
+             for a, b in gaps]
+    for m, s in enumerate(shifted):
+        for k, (a, b) in enumerate(gaps):
+            w = None if clear[k] else s.closure_meets_closed(a, b)
             report.add("gap-disjoint", w is None, m,
                        detail=f"J_{k}" if w is None
                        else f"J_{k} contains {_witness_text(w)}")

@@ -176,6 +176,28 @@ def tail_final_piece(f: PLMap, t: GeomTail):
     return (0 if x_star is None else t.first_k_inside(x_star)), slope
 
 
+def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
+    """A member of the set that f moves, or None when f fixes it all.
+
+    A tail is fixed iff the linear piece of f adjacent to its limit (on
+    the terms' side) is the identity and the finitely many terms outside
+    that piece are fixed individually.  The identity moves nothing.
+    """
+    if f.is_identity:
+        return None
+    p = f.first_moved(support.points)
+    if p is not None:
+        return p
+    for t in support.tails:
+        k0, slope = tail_final_piece(f, t)
+        if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
+            return t.term(k0)
+        for k in range(k0):
+            if f.apply(t.term(k)) != t.term(k):
+                return t.term(k)
+    return None
+
+
 class SubsetVerdict(Enum):
     YES = "yes"
     NO = "no"
@@ -546,5 +568,5 @@ def ndset_points(*values) -> NDSet:
 
 __all__ = [
     "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points",
-    "SubsetResult", "SubsetVerdict", "tail_final_piece",
+    "SubsetResult", "SubsetVerdict", "tail_final_piece", "fix_violation",
 ]

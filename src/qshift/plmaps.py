@@ -136,13 +136,6 @@ class PLMap:
         j = i - 1 if i else 0  # the breakpoint anchoring piece i
         return self._ys[j] + self._slopes[i] * (q - self._xs[j])
 
-    def apply_inverse(self, q) -> Q:
-        """Exact preimage: the x with apply(x) == q."""
-        q = rat(q)
-        i = bisect_right(self._ys, q)
-        j = i - 1 if i else 0
-        return self._xs[j] + (q - self._ys[j]) / self._slopes[i]
-
     def piece_beside(self, q, right: bool) -> Tuple[Optional[Q], Q]:
         """The linear piece of the map on one side of q: the nearest
         breakpoint input strictly beyond q on that side (None if there is

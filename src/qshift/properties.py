@@ -25,8 +25,8 @@ from .sampling import (fix_members, rng_distinct_rationals, rng_hfa,
 from .serial import (hfa_to_obj, interval_to_obj, ndset_to_obj, plmap_to_obj,
                      term_to_obj)
 from .subgroups import (Conj, Fix, Inter, ShiftProblem, Stab, SubgroupTerm,
-                        check_shift_witness, fix_leq, fixes_ndset, member,
-                        normalize)
+                        check_shift_witness, fix_leq, fix_violation,
+                        member, normalize)
 
 
 # -- counterexample helpers ---------------------------------------------------
@@ -82,13 +82,15 @@ def _variants(v: Any) -> Iterable[Any]:
             yield Atom(0)
 
 
+_SHRINK_BUDGET = 200  # candidate inputs tried per counterexample
+
+
 def _shrink(inputs: Dict[str, Any],
-            still_fails: Callable[[Dict[str, Any]], bool],
-            budget: int = 200) -> Dict[str, Any]:
+            still_fails: Callable[[Dict[str, Any]], bool]) -> Dict[str, Any]:
     current = dict(inputs)
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < _SHRINK_BUDGET:
         improved = False
         for key in list(current):
             for cand in _variants(current[key]):
@@ -103,7 +105,7 @@ def _shrink(inputs: Dict[str, Any],
                     current = trial
                     improved = True
                     break
-                if spent >= budget:
+                if spent >= _SHRINK_BUDGET:
                     return current
             if improved:
                 break
@@ -243,8 +245,7 @@ def brute_scan_gap(e: NDSet, gap: Interval, max_den: int) -> Optional[Q]:
     return None
 
 
-def prop_gap_soundness(rng: Random, cases: int, max_den: int = 64
-                       ) -> Optional[dict]:
+def prop_gap_soundness(rng: Random, cases: int) -> Optional[dict]:
     for _ in range(cases):
         e = rng_ndset(rng)
         iv = rng_interval(rng)
@@ -253,7 +254,7 @@ def prop_gap_soundness(rng: Random, cases: int, max_den: int = 64
             return {"law": "gap inside the requested interval",
                     "inputs": {"e": to_jsonable(e), "i": to_jsonable(iv),
                                "gap": to_jsonable(gap)}}
-        w = brute_scan_gap(e, gap, max_den)
+        w = brute_scan_gap(e, gap, 64)
         if w is not None:
             return {"law": "closure-free gap", "detail": rat_str(w),
                     "inputs": {"e": to_jsonable(e), "i": to_jsonable(iv),
@@ -359,7 +360,7 @@ def prop_subgroup_conj_routes(rng: Random, cases: int) -> Optional[dict]:
     def bad(xs):
         p, e, f = xs["p"], xs["e"], xs["f"]
         via_def = member(Conj(p, Fix(e)), f)
-        via_fix = fixes_ndset(f, e.image(p))
+        via_fix = fix_violation(f, e.image(p)) is None
         return via_def != via_fix
 
     for _ in range(cases):
@@ -462,13 +463,10 @@ PROPERTIES: Dict[str, Callable[[Random, int], Optional[dict]]] = {
 }
 
 
-def run_properties(seed: int, cases: int,
-                   names: Optional[List[str]] = None) -> List[dict]:
+def run_properties(seed: int, cases: int) -> List[dict]:
     """Run the suites; one result record per property."""
     results = []
     for name, fn in PROPERTIES.items():
-        if names is not None and name not in names:
-            continue
         if cases <= 0:
             results.append({"property": name, "cases": 0, "ok": True})
             continue

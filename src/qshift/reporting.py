@@ -43,9 +43,6 @@ class Report:
     def failures(self) -> List[Check]:
         return [c for c in self.checks if not c.ok]
 
-    def by_name(self, name: str) -> List[Check]:
-        return [c for c in self.checks if c.name == name]
-
     def summary(self) -> str:
         bad = self.failures
         if not bad:

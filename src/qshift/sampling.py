@@ -92,8 +92,7 @@ def bump_in_gap(gap: Interval, rng: Random) -> PLMap:
     return PLMap(((a, a), (a + u * w, a + v * w), (b, b)))
 
 
-def fix_members(support: NDSet, rng: Random, count: int,
-                max_bumps: int = 2) -> List[PLMap]:
+def fix_members(support: NDSet, rng: Random, count: int) -> List[PLMap]:
     """Sample automorphisms fixing the support pointwise.
 
     Each sample composes a few bumps supported in closure-free gaps of
@@ -106,7 +105,7 @@ def fix_members(support: NDSet, rng: Random, count: int,
             out.append(PLMap.identity())
             continue
         m = PLMap.identity()
-        for _ in range(rng.randint(1, max_bumps)):
+        for _ in range(rng.randint(1, 2)):
             window = rng_interval(rng, 10)
             gap = support.find_gap(window)
             m = m.compose(bump_in_gap(gap, rng))

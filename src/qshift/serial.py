@@ -18,7 +18,7 @@ from .ndsets import GeomTail, NDSet
 from .plmaps import PLMap
 from .rationals import Interval, Q, parse_rational, rat_str
 from .subgroups import (FULL_GROUP, Conj, Fix, Inter, Stab, SubgroupTerm,
-                        _FullGroup)
+                        _FullGroup, normalize)
 from .theorem import BranchCertificate, TreeInstance
 
 
@@ -330,8 +330,6 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
 def instance_from_obj(o: Any):
     """Decode a theorem instance; the first declared group must be a
     pointwise stabilizer, whose support doubles as the orbit base."""
-    from .subgroups import normalize
-
     _need(o, ("x", "t", "tau", "H"), "theorem instance")
     for key in ("x", "t", "tau", "H"):
         if not isinstance(o[key], list):

@@ -15,7 +15,7 @@ from random import Random
 from typing import List, Optional, Sequence
 
 from .hfa import HFAValue, act, in_sym
-from .ndsets import NDSet, SubsetResult, SubsetVerdict, tail_final_piece
+from .ndsets import NDSet, SubsetResult, SubsetVerdict, fix_violation
 from .plmaps import PLMap
 from .rationals import rat_str
 from .reporting import Report
@@ -130,39 +130,12 @@ class Inter(SubgroupTerm):
 
 # -- membership ----------------------------------------------------------
 
-def fix_violation(f: PLMap, support: NDSet):
-    """A member of the set that f moves, or None when f fixes it all.
-
-    A tail is fixed iff the linear piece of f adjacent to its limit (on
-    the terms' side) is the identity and the finitely many terms outside
-    that piece are fixed individually.  The identity moves nothing.
-    """
-    if f.is_identity:
-        return None
-    p = f.first_moved(support.points)
-    if p is not None:
-        return p
-    for t in support.tails:
-        k0, slope = tail_final_piece(f, t)
-        if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
-            return t.term(k0)
-        for k in range(k0):
-            if f.apply(t.term(k)) != t.term(k):
-                return t.term(k)
-    return None
-
-
-def fixes_ndset(f: PLMap, support: NDSet) -> bool:
-    """Exact test that f fixes every member of the set pointwise."""
-    return fix_violation(f, support) is None
-
-
 def member(term: SubgroupTerm, f: PLMap) -> bool:
     """Membership oracle; decidable for every constructor."""
     if isinstance(term, _FullGroup):
         return True
     if isinstance(term, Fix):
-        return fixes_ndset(f, term.support)
+        return fix_violation(f, term.support) is None
     if isinstance(term, Stab):
         return in_sym(f, term.obj)
     if isinstance(term, Conj):
@@ -337,7 +310,7 @@ def check_shift_witness(problem: ShiftProblem, rng: Optional[Random] = None,
 
 __all__ = [
     "SubgroupTerm", "FULL_GROUP", "Fix", "Stab", "Conj", "Inter",
-    "member", "fixes_ndset", "fix_violation", "normalize", "fix_leq",
+    "member", "fix_violation", "normalize", "fix_leq",
     "FilterDescriptor", "ShiftProblem", "shifted_groups",
     "check_shift_witness",
 ]

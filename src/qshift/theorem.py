@@ -108,15 +108,13 @@ class TreeInstance:
     def declared_groups(self, count: int) -> List[SubgroupTerm]:
         """Fix-form generators: H_0 = Fix(support), H_{n+1} adds the atoms
         of the length-n prefix."""
-        out: List[SubgroupTerm] = []
-        for n in range(count):
-            extra = [x.value for x in self.base[:max(0, n - 1)]]
-            out.append(Fix(self.base_support.union(NDSet(points=extra))))
-        return out
+        s = self.induced_stream(count - 1)
+        return [Fix(s.level(n)) for n in range(count)]
 
     def induced_stream(self, upto: int) -> EStream:
         """Support increments matching declared_groups: level n carries
-        the support of H_n."""
+        the support of H_n; past the base sequence the increments are
+        empty, so the chain stays constant."""
         incs: List[NDSet] = []
         for n in range(upto + 1):
             if n == 0:
@@ -124,7 +122,8 @@ class TreeInstance:
             elif n == 1:
                 incs.append(EMPTY_NDSET)
             else:
-                incs.append(NDSet(points=[self.base[n - 2].value]))
+                incs.append(NDSet(points=[x.value
+                                          for x in self.base[n - 2:n - 1]]))
         return EStream(incs)
 
 

@@ -62,9 +62,9 @@ def test_criterion_2_dense_singletons_n20():
     trace = run_shift_construction(stream, 20)
     report = verify_shift_trace(trace, stream)
     assert report.passed, report.summary()
-    assert all(c.ok for c in report.by_name("fixes-shifted"))
+    assert all(c.ok for c in report.checks if c.name == "fixes-shifted")
     # strengthened closed-interval disjointness for every (m, k) pair
-    disjoint = report.by_name("gap-disjoint")
+    disjoint = [c for c in report.checks if c.name == "gap-disjoint"]
     assert len(disjoint) == 21 * 21 and all(c.ok for c in disjoint)
     w = witness_subgroup(trace)
     rng = Random(1002)
@@ -108,7 +108,8 @@ def test_criterion_4_shift_witness_prefix_check():
         mutated[n] = PLMap.translation(10 ** 6).compose(mutated[n])
         rep = check_shift_witness(ShiftProblem(groups, mutated, candidate),
                                   Random(1004), samples=5)
-        failed = [c.index for c in rep.by_name("member") if not c.ok]
+        failed = [c.index for c in rep.checks
+                  if c.name == "member" and not c.ok]
         assert failed == [n], f"mutating step {n} failed at {failed}"
     _report("criterion 4: witness check + 20 single-map mutations", started)
 
@@ -143,9 +144,12 @@ def test_criterion_6_branch_from_shifts_composite():
     ts, report = branch_from_shifts(inst, chain,
                                     [st.pi for st in trace.steps])
     assert report.passed, report.summary()
-    chain_checks = [c for c in report.by_name("chain") if c.index <= 10]
-    fixed_checks = [c for c in report.by_name("fixed-point") if c.index <= 10]
-    orbit_checks = [c for c in report.by_name("orbit-member") if c.index <= 10]
+    chain_checks = [c for c in report.checks
+                    if c.name == "chain" and c.index <= 10]
+    fixed_checks = [c for c in report.checks
+                    if c.name == "fixed-point" and c.index <= 10]
+    orbit_checks = [c for c in report.checks
+                    if c.name == "orbit-member" and c.index <= 10]
     assert len(chain_checks) >= 11 and all(c.ok for c in chain_checks)
     assert len(fixed_checks) >= 11 and all(c.ok for c in fixed_checks)
     assert len(orbit_checks) >= 11 and all(c.ok for c in orbit_checks)
@@ -164,9 +168,9 @@ def test_criterion_7_shifts_from_branch_translation():
                                          inst.declared_groups(11),
                                          Random(1007), samples=100)
     assert report.passed, report.summary()
-    tele = report.by_name("telescoping")
-    claim1 = report.by_name("claim1")
-    claim2 = report.by_name("claim2")
+    tele = [c for c in report.checks if c.name == "telescoping"]
+    claim1 = [c for c in report.checks if c.name == "claim1"]
+    claim2 = [c for c in report.checks if c.name == "claim2"]
     assert len(tele) == 11 and all(c.ok for c in tele)
     assert len(claim1) == 11 and all(c.ok for c in claim1)
     assert len(claim2) == 11 and all(c.ok for c in claim2)

@@ -158,7 +158,8 @@ def test_verify_catches_mutated_map():
     bad.pi = PLMap.translation(1).compose(bad.pi)
     report = verify_shift_trace(type(trace)(steps), s)
     assert not report.passed
-    fixing = [c for c in report.by_name("fixes-shifted") if not c.ok]
+    fixing = [c for c in report.checks
+              if c.name == "fixes-shifted" and not c.ok]
     assert fixing and fixing[0].index == 3
 
 
@@ -170,7 +171,8 @@ def test_verify_catches_bad_gap():
     steps[2].gap = Interval(steps[2].gap.lower - 10, steps[2].gap.upper)
     report = verify_shift_trace(type(trace)(steps), s)
     assert not report.passed
-    assert any(not c.ok for c in report.by_name("gap-in-interval"))
+    assert any(not c.ok for c in report.checks
+               if c.name == "gap-in-interval")
 
 
 def test_verify_empty_trace_vacuous():
@@ -255,8 +257,8 @@ def test_gap_sweep_matches_quadratic_oracle():
         candidates = [list(trace.steps)] + list(_mutations(trace, rng))
         for steps in candidates:
             t = ShiftTrace(steps)
-            got = [(c.index, c.detail) for c in
-                   verify_shift_trace(t, s).by_name("gap-disjoint")]
+            got = [(c.index, c.detail) for c in verify_shift_trace(t, s).checks
+                   if c.name == "gap-disjoint"]
             want = quadratic_gap_records(t, s)
             assert got == want
             hits += any("contains" in detail for _, detail in want)
@@ -280,6 +282,23 @@ def test_recorded_shifted_sets_are_whole_level_images():
             # each later map fixed it: sigma_n``E_k is shifted_k for k <= n
             for k in range(n):
                 assert s.level(k).image(sigmas[n]) == trace.steps[k].shifted
+
+
+def test_recursion_builds_no_shifted_set_past_its_last_step(monkeypatch):
+    # shifted_{n+1} = shifted_n united with pi_n``incoming is needed by
+    # step n+1 only, so steps 0..upto take upto unions
+    real = NDSet.union
+    calls = []
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(NDSet, "union", counting)
+    for upto, s in enumerate(tail_streams(Random(77), 10, 8)):
+        calls.clear()
+        run_shift_construction(s, upto)
+        assert len(calls) == upto, upto
 
 
 def test_evacuating_the_increment_matches_the_whole_moving_set():

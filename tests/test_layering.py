@@ -1,0 +1,65 @@
+"""The package's modules import one another down a fixed order only."""
+
+import ast
+from pathlib import Path
+
+import qshift
+
+# lowest first; the kernel package ``_qarith`` sits below all of them, and
+# ``__init__`` (which re-exports everything) is exempt
+ORDER = ["rationals", "plmaps", "ndsets", "reporting", "construction", "hfa",
+         "sampling", "subgroups", "theorem", "serial", "properties", "cli"]
+PACKAGE = Path(qshift.__file__).parent
+
+
+def runtime_relative_imports(tree):
+    """(line, module) for every ``from .x import`` that runs at import or
+    call time: those inside ``if TYPE_CHECKING:`` are left out."""
+    typing_only = {id(node)
+                   for branch in ast.walk(tree)
+                   if isinstance(branch, ast.If)
+                   and ast.unparse(branch.test) == "TYPE_CHECKING"
+                   for stmt in branch.body for node in ast.walk(stmt)}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 1
+                and id(node) not in typing_only):
+            targets = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+            out.extend((node.lineno, t.split(".")[0]) for t in targets)
+    return out
+
+
+def test_every_module_has_a_place_in_the_order():
+    found = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert found == set(ORDER)
+
+
+def test_imports_point_down_the_module_order():
+    rank = {name: i for i, name in enumerate(ORDER)}
+    rank["_qarith"] = -1
+    upward = []
+    for name in ORDER:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for line, target in runtime_relative_imports(tree):
+            if rank[target] >= rank[name]:
+                upward.append(f"{name}.py:{line} imports .{target}")
+    assert upward == []
+
+
+def test_type_checking_imports_are_left_out():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "from .ndsets import NDSet\n"
+                     "if TYPE_CHECKING:\n"
+                     "    from .serial import RecordedSet\n"
+                     "def f():\n"
+                     "    from . import cli\n")
+    assert runtime_relative_imports(tree) == [(2, "ndsets"), (6, "cli")]
+
+
+def test_subgroups_reexports_the_ndsets_fix_test():
+    # a tracer that wraps subgroups.fix_violation must patch the object
+    # the recursion's verifier calls
+    from qshift import construction, ndsets, subgroups
+    assert subgroups.fix_violation is ndsets.fix_violation
+    assert construction.fix_violation is ndsets.fix_violation

@@ -86,7 +86,7 @@ def test_image_with_breakpoint_pointwise_oracle():
         assert img.contains(f.apply(tail.term(k))), k
     # and the reverse direction of the membership equivalence
     for p in sample_points(img, 12):
-        assert e.contains(f.apply_inverse(p))
+        assert e.contains(f.invert().apply(p))
 
 
 def test_find_gap_examples():

@@ -29,11 +29,6 @@ def test_zero_cases_is_vacuous():
     assert all(rec["ok"] and rec["cases"] == 0 for rec in results)
 
 
-def test_name_filter():
-    results = run_properties(seed=0, cases=5, names=["group-laws"])
-    assert [r["property"] for r in results] == ["group-laws"]
-
-
 def test_shrink_minimizes_planted_failure():
     # pretend any map with more than one breakpoint is broken
     big = PLMap([(0, 0), (1, 3), (2, 4), (5, 9)], 2, 3)

@@ -133,7 +133,8 @@ def test_check_shift_witness_end_to_end():
     report = check_shift_witness(_dense_problem(), Random(1), samples=20)
     assert report.passed
     # membership checks were exact, not sampled
-    assert all(c.mode == "exact" for c in report.by_name("member"))
+    assert all(c.mode == "exact" for c in report.checks
+               if c.name == "member")
 
 
 def test_check_shift_witness_mutation():
@@ -143,7 +144,8 @@ def test_check_shift_witness_mutation():
         pis[n] = PLMap.translation(10 ** 6).compose(pis[n])
         mutated = ShiftProblem(problem.groups, pis, problem.candidate)
         report = check_shift_witness(mutated, Random(1), samples=5)
-        failed = [c.index for c in report.by_name("member") if not c.ok]
+        failed = [c.index for c in report.checks
+                  if c.name == "member" and not c.ok]
         assert failed == [n]
 
 
@@ -156,7 +158,8 @@ def test_check_shift_witness_stab_groups_sampled():
                            atoms_support(x))
     report = check_shift_witness(problem, rng, samples=15)
     assert report.passed
-    assert any(c.mode == "sampled" for c in report.by_name("candidate-leq"))
+    assert any(c.mode == "sampled" for c in report.checks
+               if c.name == "candidate-leq")
 
 
 def test_shift_problem_validation():

@@ -1,3 +1,4 @@
+from importlib import resources
 from random import Random
 
 import pytest
@@ -8,14 +9,31 @@ from qshift.hfa import Atom, SeqNode, atom_seq
 from qshift.ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Q
-from qshift.subgroups import member
+from qshift.serial import instance_from_obj, read_json_file
+from qshift.subgroups import Fix, member
 from qshift.theorem import (BranchCertificate, CertificateError, TreeInstance,
                             branch_from_shifts, essential_shift, orbit_member,
                             order_iso_fixing, shifts_from_branch)
 
+SPECS = resources.files("qshift").joinpath("specs")
+
 
 def _instance(size=12):
     return TreeInstance([Atom(i + 1) for i in range(size)], ndset_points(0))
+
+
+def test_declared_groups_match_the_direct_formula():
+    # H_n is the base support united with the atoms of the length n-1
+    # prefix, written out here without the induced stream; counts past
+    # the base sequence repeat the last group
+    for name in ("theorem_identity.json", "theorem_translation.json"):
+        inst, _, _ = instance_from_obj(read_json_file(str(SPECS / name)))
+        base, support = inst.base, inst.base_support
+        for count in range(len(base) + 6):
+            want = [Fix(support.union(NDSet(
+                        points=[x.value for x in base[:max(0, n - 1)]])))
+                    for n in range(count)]
+            assert inst.declared_groups(count) == want, (name, count)
 
 
 def test_order_iso_fixing_constructs_witness():
