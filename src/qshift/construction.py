@@ -20,7 +20,6 @@ membership oracles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
@@ -155,28 +154,6 @@ def _merge_closed(intervals: Sequence[Tuple[Q, Q]]) -> List[Tuple[Q, Q]]:
     return out
 
 
-def _closure_meets_merged(s: NDSet, merged: Sequence[Tuple[Q, Q]]) -> bool:
-    """Whether the closure of ``s`` meets one of the sorted, disjoint
-    closed intervals: one sweep of the points against the intervals, and
-    each tail tested only on the intervals that meet its hull."""
-    pts = s.points
-    i, n = 0, len(pts)
-    for a, b in merged:
-        while i < n and pts[i] < a:
-            i += 1
-        if i == n:
-            break
-        if pts[i] <= b:
-            return True
-    for t in s.tails:
-        j = bisect_left(merged, t.lo, key=itemgetter(1))
-        while j < len(merged) and merged[j][0] <= t.hi:
-            if t.closure_meets_closed(*merged[j]) is not None:
-                return True
-            j += 1
-    return False
-
-
 def evacuate(c_fix: NDSet, c_move: NDSet,
              blocked: Sequence[Tuple[Q, Q]]) -> PLMap:
     """Map fixing ``c_fix`` pointwise whose image of ``c_move`` is
@@ -193,12 +170,12 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
     # merged closed intervals have no holes, so the closure meets one of
     # them iff it meets a blocked interval; the ordered scan runs only to
     # name the first blocked interval hit and its witness
-    if _closure_meets_merged(c_fix, merged_blocked):
+    if c_fix.closure_meets_sorted(merged_blocked) is not None:
         for a, b in blocked:
             w = c_fix.closure_meets_closed(a, b)
             if w is not None:
                 raise EvacuationError(w, (a, b))
-    if not _closure_meets_merged(c_move, merged_blocked):
+    if c_move.closure_meets_sorted(merged_blocked) is None:
         return PLMap.identity()  # nothing to move
 
     # Covers come out sorted by lower end, so they merge as they are

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .plmaps import PLMap
 from .rationals import Interval, Q, rat, rat_str, simplest_between
@@ -409,14 +410,31 @@ class NDSet:
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError("interval endpoints out of order")
+        return self.closure_meets_sorted(((a, b),))
+
+    def closure_meets_sorted(self, intervals: Sequence[Tuple[Q, Q]]
+                             ) -> Optional[Q]:
+        """A closure point inside one of the sorted, disjoint closed
+        intervals, or None: the first point inside one, else the first
+        tail's witness.  The points are swept against the intervals by
+        bisection from the previous position, and each tail is tested
+        only on the intervals that meet its hull."""
         pts = self.points
-        i = bisect_left(pts, a)
-        if i < len(pts) and pts[i] <= b:
-            return pts[i]
+        i = 0
+        for a, b in intervals:
+            i = bisect_left(pts, a, i)
+            if i == len(pts):
+                break
+            if pts[i] <= b:
+                return pts[i]
+        upper = itemgetter(1)
         for t in self.tails:
-            w = t.closure_meets_closed(a, b)
-            if w is not None:
-                return w
+            j = bisect_left(intervals, t.lo, key=upper)
+            while j < len(intervals) and intervals[j][0] <= t.hi:
+                w = t.closure_meets_closed(*intervals[j])
+                if w is not None:
+                    return w
+                j += 1
         return None
 
     def neighbours(self, q) -> Tuple[Optional[Q], Optional[Q]]:

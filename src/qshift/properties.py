@@ -112,12 +112,20 @@ def _shrink(inputs: Dict[str, Any],
     return current
 
 
+def _counterexample(law: str, inputs: Dict[str, Any],
+                    detail: Optional[str] = None) -> dict:
+    """A counterexample record; without a detail it has no detail field."""
+    rec = {"law": law}
+    if detail is not None:
+        rec["detail"] = detail
+    rec["inputs"] = {k: to_jsonable(v) for k, v in inputs.items()}
+    return rec
+
+
 def _fail_case(name: str, inputs: Dict[str, Any],
                still_fails: Callable[[Dict[str, Any]], bool],
                detail: str = "") -> dict:
-    small = _shrink(inputs, still_fails)
-    return {"law": name, "detail": detail,
-            "inputs": {k: to_jsonable(v) for k, v in small.items()}}
+    return _counterexample(name, _shrink(inputs, still_fails), detail)
 
 
 # -- individual properties ------------------------------------------------------
@@ -186,22 +194,17 @@ def prop_squeeze(rng: Random, cases: int) -> Optional[dict]:
         g = squeeze_map(cover, targets)
         for (a, b), gap in targets:
             if not (gap.contains(g.apply(a)) and gap.contains(g.apply(b))):
-                return {"law": "blocked interval lands in its gap",
-                        "inputs": {"cover": to_jsonable(cover),
-                                   "targets": to_jsonable(
-                                       [[list(t[0]), interval_to_obj(t[1])]
-                                        for t in targets])}}
+                return _counterexample("blocked interval lands in its gap",
+                                       {"cover": cover, "targets": targets})
         for probe in (u - 1, v + 1, u - Q(1, 2), v + Q(7, 3)):
             if g.apply(probe) != probe:
-                return {"law": "identity outside the cover",
-                        "inputs": {"cover": to_jsonable(cover),
-                                   "probe": to_jsonable(probe)}}
+                return _counterexample("identity outside the cover",
+                                       {"cover": cover, "probe": probe})
         samples = sorted(rng_distinct_rationals(rng, 6, span=14))
         for p, q in zip(samples, samples[1:]):
             if not g.apply(p) < g.apply(q):
-                return {"law": "order preservation",
-                        "inputs": {"cover": to_jsonable(cover),
-                                   "p": to_jsonable(p), "q": to_jsonable(q)}}
+                return _counterexample("order preservation",
+                                       {"cover": cover, "p": p, "q": q})
     return None
 
 
@@ -251,14 +254,12 @@ def prop_gap_soundness(rng: Random, cases: int) -> Optional[dict]:
         iv = rng_interval(rng)
         gap = e.find_gap(iv)
         if not iv.contains_closed(gap.lower, gap.upper):
-            return {"law": "gap inside the requested interval",
-                    "inputs": {"e": to_jsonable(e), "i": to_jsonable(iv),
-                               "gap": to_jsonable(gap)}}
+            return _counterexample("gap inside the requested interval",
+                                   {"e": e, "i": iv, "gap": gap})
         w = brute_scan_gap(e, gap, 64)
         if w is not None:
-            return {"law": "closure-free gap", "detail": rat_str(w),
-                    "inputs": {"e": to_jsonable(e), "i": to_jsonable(iv),
-                               "gap": to_jsonable(gap)}}
+            return _counterexample("closure-free gap",
+                                   {"e": e, "i": iv, "gap": gap}, rat_str(w))
     return None
 
 
@@ -268,16 +269,15 @@ def prop_closure_coherence(rng: Random, cases: int) -> Optional[dict]:
         u = e.union(f_set)
         for q in sample_points(e, 4) + e.limits:
             if not u.closure_contains(q):
-                return {"law": "closure monotone under union",
-                        "inputs": {"e": to_jsonable(e), "f": to_jsonable(f_set),
-                                   "q": to_jsonable(q)}}
+                return _counterexample("closure monotone under union",
+                                       {"e": e, "f": f_set, "q": q})
         m = rng_plmap(rng)
         img = e.image(m)
         for q in sample_points(e, 4) + e.limits:
             if not img.closure_contains(m.apply(q)):
-                return {"law": "closure of image contains image of closure",
-                        "inputs": {"e": to_jsonable(e), "m": to_jsonable(m),
-                                   "q": to_jsonable(q)}}
+                return _counterexample(
+                    "closure of image contains image of closure",
+                    {"e": e, "m": m, "q": q})
     return None
 
 
@@ -312,11 +312,12 @@ def prop_hfa_support(rng: Random, cases: int) -> Optional[dict]:
         support = atoms_support(x)
         for g in fix_members(support, rng, 2):
             if not in_sym(g, x):
-                return {"law": "fixing the support stabilizes the value",
-                        "inputs": {"x": to_jsonable(x), "g": to_jsonable(g)}}
+                return _counterexample(
+                    "fixing the support stabilizes the value",
+                    {"x": x, "g": g})
             if not member(Stab(x), g):
-                return {"law": "Fix(support) below Stab",
-                        "inputs": {"x": to_jsonable(x), "g": to_jsonable(g)}}
+                return _counterexample("Fix(support) below Stab",
+                                       {"x": x, "g": g})
     return None
 
 
@@ -351,8 +352,8 @@ def prop_subgroup_normalize(rng: Random, cases: int) -> Optional[dict]:
         n = normalize(h)
         for f in probes:
             if member(h, f) != member(n, f):
-                return {"law": "membership preserved by normalization",
-                        "inputs": {"h": to_jsonable(h), "f": to_jsonable(f)}}
+                return _counterexample("membership preserved by normalization",
+                                       {"h": h, "f": f})
     return None
 
 
@@ -380,15 +381,14 @@ def prop_fix_leq(rng: Random, cases: int) -> Optional[dict]:
         extra = rng_ndset(rng, max_points=2, max_tails=1)
         bigger = e.union(extra)
         if fix_leq(bigger, e).verdict is not SubsetVerdict.YES:
-            return {"law": "larger support gives smaller stabilizer",
-                    "inputs": {"e": to_jsonable(e), "bigger": to_jsonable(bigger)}}
+            return _counterexample("larger support gives smaller stabilizer",
+                                   {"e": e, "bigger": bigger})
         probe = Q(10 ** 7) + rng_rational(rng)
         if not e.closure_contains(probe):
             res = fix_leq(e, NDSet(points=[probe]))
             if res.verdict is not SubsetVerdict.NO or res.witness != probe:
-                return {"law": "point off the closure is movable",
-                        "inputs": {"e": to_jsonable(e),
-                                   "probe": to_jsonable(probe)}}
+                return _counterexample("point off the closure is movable",
+                                       {"e": e, "probe": probe})
     return None
 
 
@@ -401,24 +401,24 @@ def prop_construction(rng: Random, cases: int) -> Optional[dict]:
         trace = run_shift_construction(stream, 3)
         report = verify_shift_trace(trace, stream)
         if not report.passed:
-            return {"law": "construction verifies", "detail": report.summary(),
-                    "inputs": {"increments": to_jsonable(list(incs))}}
+            return _counterexample("construction verifies",
+                                   {"increments": incs}, report.summary())
         sigmas = trace.sigmas
         for n in range(len(trace.steps)):
             for k in range(n + 1):
                 if stream.level(k).image(sigmas[n]) != trace.steps[k].shifted:
-                    return {"law": "later maps fix earlier shifted sets",
-                            "detail": f"n={n} k={k}",
-                            "inputs": {"increments": to_jsonable(list(incs))}}
+                    return _counterexample(
+                        "later maps fix earlier shifted sets",
+                        {"increments": incs}, f"n={n} k={k}")
         problem = ShiftProblem(
             [Fix(stream.level(n)) for n in range(len(trace.steps))],
             [st.pi for st in trace.steps[:-1]],
             witness_subgroup(trace))
         wreport = check_shift_witness(problem, rng, samples=10)
         if not wreport.passed:
-            return {"law": "witness check passes on construction output",
-                    "detail": wreport.summary(),
-                    "inputs": {"increments": to_jsonable(list(incs))}}
+            return _counterexample(
+                "witness check passes on construction output",
+                {"increments": incs}, wreport.summary())
     return None
 
 
@@ -428,8 +428,8 @@ def prop_enumeration(rng: Random, cases: int) -> Optional[dict]:
     for i in range(bound):
         q = rational_enum(i)
         if q in seen:
-            return {"law": "rational enumeration injective",
-                    "inputs": {"index": i, "value": to_jsonable(q)}}
+            return _counterexample("rational enumeration injective",
+                                   {"index": i, "value": q})
         seen.add(q)
     for i in range(12):
         for j in range(12):
@@ -439,9 +439,8 @@ def prop_enumeration(rng: Random, cases: int) -> Optional[dict]:
             want = (Interval(qi, qi + 1) if qi == qj
                     else Interval(min(qi, qj), max(qi, qj)))
             if iv != want:
-                return {"law": "interval enumeration decodes pairs",
-                        "inputs": {"n": n, "got": to_jsonable(iv),
-                                   "want": to_jsonable(want)}}
+                return _counterexample("interval enumeration decodes pairs",
+                                       {"n": n, "got": iv, "want": want})
     return None
 
 

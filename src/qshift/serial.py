@@ -328,8 +328,9 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
 # -- theorem instances -------------------------------------------------------------
 
 def instance_from_obj(o: Any):
-    """Decode a theorem instance; the first declared group must be a
-    pointwise stabilizer, whose support doubles as the orbit base."""
+    """Decode a theorem instance: a nonempty certificate with a declared
+    group per level, the first of them a pointwise stabilizer, whose
+    support doubles as the orbit base."""
     _need(o, ("x", "t", "tau", "H"), "theorem instance")
     for key in ("x", "t", "tau", "H"):
         if not isinstance(o[key], list):
@@ -338,8 +339,11 @@ def instance_from_obj(o: Any):
     ts = [hfa_from_obj(v) for v in o["t"]]
     taus = [plmap_from_obj(m) for m in o["tau"]]
     hs = [term_from_obj(h) for h in o["H"]]
-    if not hs:
-        raise _fail("malformed theorem instance: H must not be empty")
+    if not xs:
+        raise _fail("malformed theorem instance: x must not be empty")
+    if len(hs) < len(xs):
+        raise _fail("malformed theorem instance: H must declare one group "
+                    "per entry of x")
     h0 = normalize(hs[0])
     if not isinstance(h0, Fix):
         raise _fail("malformed theorem instance: the first group must "

@@ -1,4 +1,5 @@
-"""Shared fixtures: the compiled rational kernel, built when missing.
+"""Shared fixtures: the compiled rational kernel, built when missing, and
+a sampler of sets whose tail hulls overlap deeply.
 
 Both kernels are tested in every run.  When ``qshift._qarith._speedups``
 is not importable (a plain checkout run with ``PYTHONPATH=src``), the
@@ -51,3 +52,22 @@ def speedups(request):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def crowded_presentation():
+    """Sampler of points and many tails whose hulls pile up around a few
+    nearby limits: ``crowded_presentation(rng) -> (points, tails)``."""
+    from qshift.ndsets import GeomTail
+    from qshift.rationals import Q
+    from qshift.sampling import rng_positive_rational, rng_rational
+
+    def sample(rng):
+        limits = [rng_rational(rng, 3) for _ in range(2)]
+        tails = [GeomTail(rng.choice(limits),
+                          rng.choice((1, -1)) * rng_positive_rational(rng, 3),
+                          Q(1, rng.randint(2, 5)))
+                 for _ in range(rng.randint(5, 9))]
+        return [rng_rational(rng, 4) for _ in range(rng.randint(0, 4))], tails
+
+    return sample

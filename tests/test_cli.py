@@ -298,6 +298,19 @@ def test_empty_trace_or_negative_n_is_input_error(tmp_path):
                             needle)
 
 
+def test_short_or_empty_certificate_is_input_error(tmp_path):
+    # fewer declared groups than certificate levels, or no levels at all,
+    # end at parse time rather than inside the claim checks
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    bad = tmp_path / "bad_instance.json"
+    for edit, needle in (({"H": blob["H"][:1]}, "one group per entry of x"),
+                         ({"H": []}, "one group per entry of x"),
+                         ({"x": [], "t": [], "tau": []},
+                          "x must not be empty")):
+        bad.write_text(json.dumps({**blob, **edit}))
+        _assert_input_error(_cli("theorem", "--stream", str(bad)), needle)
+
+
 def test_report_and_trace_bytes_match_json_dumps(tmp_path, capsys):
     from qshift.serial import canon_dumps
 

@@ -1,4 +1,6 @@
 import json
+from bisect import bisect_left
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -546,6 +548,94 @@ def test_evacuate_sweeps_match_ordered_scans():
                        for a, b in blocked)
     assert min(seen.values()) >= 20 and several >= 20, (seen, several)
     assert foreign >= 20, foreign
+
+
+# -- the one closure sweep against the sweeps it replaced ---------------------
+
+def merged_sweep_meets(s, merged):
+    """Reference: whether the closure of s meets one of the sorted,
+    disjoint closed intervals, by a linear sweep of the points and a
+    bisection of the intervals for each tail's hull."""
+    pts = s.points
+    i, n = 0, len(pts)
+    for a, b in merged:
+        while i < n and pts[i] < a:
+            i += 1
+        if i == n:
+            break
+        if pts[i] <= b:
+            return True
+    for t in s.tails:
+        j = bisect_left(merged, t.lo, key=itemgetter(1))
+        while j < len(merged) and merged[j][0] <= t.hi:
+            if t.closure_meets_closed(*merged[j]) is not None:
+                return True
+            j += 1
+    return False
+
+
+def single_interval_witness(s, a, b):
+    """Reference: the first point in [a, b], else the first tail's
+    closure point there, else None."""
+    pts = s.points
+    i = bisect_left(pts, a)
+    if i < len(pts) and pts[i] <= b:
+        return pts[i]
+    for t in s.tails:
+        w = t.closure_meets_closed(a, b)
+        if w is not None:
+            return w
+    return None
+
+
+def straddling(rng, e):
+    """Closed intervals across the tails' limits, terms and hull ends, and
+    ending on points."""
+    out = []
+    for t in e.tails:
+        k = rng.randint(0, 3)
+        w = abs(t.coeff) * t.ratio ** (k + 2)
+        out += [(t.term(k) - w, t.term(k) + w), (t.limit - w, t.limit + w),
+                (min(t.term(k + 1), t.term(k)), max(t.term(k + 1), t.term(k))),
+                (t.lo - w, t.lo), (t.hi, t.hi + w)]
+    for p in e.points:
+        w = Q(1, rng.randint(1, 9))
+        out += [(p - w, p), (p, p + w)]
+    rng.shuffle(out)
+    return out
+
+
+def test_closure_meets_sorted_matches_reference_sweeps(crowded_presentation):
+    cases = []
+    for c_fix, c_move, blocked in sweep_cases(Random(8080), 300):
+        cases += [(c_fix, blocked), (c_move, blocked)]
+    rng = Random(9090)
+    for i in range(300):
+        e = rng_ndset(rng) if i % 2 else NDSet(*crowded_presentation(rng))
+        cases.append((e, blocked_around(rng, closure_centres(rng, e),
+                                        rng.randint(1, 6))
+                      + straddling(rng, e)))
+    hits = misses = several = 0
+    tail_witnesses = end_points = 0
+    for e, blocked in cases:
+        merged = _merge_closed(blocked)
+        w = e.closure_meets_sorted(merged)
+        assert (w is not None) == merged_sweep_meets(e, merged), (e, merged)
+        if w is not None:
+            assert e.closure_contains(w)
+            assert any(a <= w <= b for a, b in merged)
+        hits += w is not None
+        misses += w is None
+        several += len(merged) > 1
+        for a, b in blocked:
+            got = e.closure_meets_closed(a, b)
+            assert got == single_interval_witness(e, a, b), (e, a, b)
+            tail_witnesses += got is not None and got not in e.points
+            end_points += got in (a, b) and got in e.points
+    assert hits >= 300 and misses >= 100 and several >= 300, \
+        (hits, misses, several)
+    assert tail_witnesses >= 2000 and end_points >= 500, \
+        (tail_witnesses, end_points)
 
 
 # -- evacuate's one-pass covers against sorting then merging ------------------

@@ -9,8 +9,7 @@ from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
 from qshift.rationals import Interval, Q
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
-                             rng_interval, rng_positive_rational, rng_rational,
-                             sample_points)
+                             rng_interval, rng_rational, sample_points)
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -579,11 +578,15 @@ def hash_then_sort_build(points, tails):
     return pts, tuple(t._key() for t in tl)
 
 
-def test_construction_matches_hash_then_sort_build():
+def test_construction_matches_hash_then_sort_build(crowded_presentation):
     rng = Random(7070)
-    for _ in range(300):
-        points, tails = ([], []) if rng.random() < 0.4 else \
-            entangled_presentation(rng)
+    grew = 0  # crowded presentations in which a tail was extended
+    for i in range(400):
+        if i >= 300:
+            points, tails = crowded_presentation(rng)
+        else:
+            points, tails = ([], []) if rng.random() < 0.4 else \
+                entangled_presentation(rng)
         points += [rng_rational(rng, 5) for _ in range(rng.randint(0, 12))]
         points += rng.choices(points, k=rng.randint(0, 6)) if points else []
         order = rng.random()
@@ -597,6 +600,8 @@ def test_construction_matches_hash_then_sort_build():
         assert NDSet(points, tails)._key() == want, (points, tails)
         assert NDSet(sorted(points) + sorted(points))._key() == \
             hash_then_sort_build(points, [])
+        grew += i >= 300 and not set(want[1]) <= {t._key() for t in tails}
+    assert grew >= 50, grew
 
 
 # -- the brute gap scan reads only the part of the set near the gap ---------
@@ -622,23 +627,12 @@ def scan_candidates(a, b, max_den):
                 yield Q(n, d)
 
 
-def crowded_hulls(rng):
-    """Many tails whose hulls pile up around a few nearby limits."""
-    limits = [rng_rational(rng, 3) for _ in range(2)]
-    tails = [GeomTail(rng.choice(limits),
-                      rng.choice((1, -1)) * rng_positive_rational(rng, 3),
-                      Q(1, rng.randint(2, 5)))
-             for _ in range(rng.randint(5, 9))]
-    return NDSet([rng_rational(rng, 4) for _ in range(rng.randint(0, 4))],
-                 tails)
-
-
 def max_hull_depth(e):
     return max((sum(t.lo <= q <= t.hi for t in e.tails)
                 for q in probe_points(Random(0), e)), default=0)
 
 
-def test_windowed_gap_scan_matches_unwindowed_oracle():
+def test_windowed_gap_scan_matches_unwindowed_oracle(crowded_presentation):
     rng = Random(777)
     max_den = 12
     pairs = hits = nonempty_misses = crowded = 0
@@ -649,7 +643,7 @@ def test_windowed_gap_scan_matches_unwindowed_oracle():
         elif kind == 1:
             e = NDSet(*entangled_presentation(rng))
         else:
-            e = crowded_hulls(rng)
+            e = NDSet(*crowded_presentation(rng))
             crowded += max_hull_depth(e) >= 5
         qs = probe_points(rng, e)
         intervals = [e.find_gap(rng_interval(rng))]

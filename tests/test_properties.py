@@ -1,5 +1,7 @@
 import json
+from random import Random
 
+from qshift import properties
 from qshift.ndsets import GeomTail, NDSet
 from qshift.plmaps import PLMap
 from qshift.properties import (PROPERTIES, _shrink, run_properties,
@@ -47,3 +49,45 @@ def test_counterexamples_serialize():
     json.dumps(payload)  # must be plain JSON data
     assert payload["breakpoints"] == [["0", "0"]]
     assert to_jsonable([Q(1, 2), Q(3)]) == ["1/2", "3"]
+
+
+IDENTITY_OBJ = {"breakpoints": [["0", "0"]], "leftSlope": "1",
+                "rightSlope": "1"}
+
+# (suite, module attribute replaced to force a failure, replacement, the
+# record the suite returns on its first case under seed 0)
+PLANTED_FAILURES = [
+    # shrunk through _fail_case, which always carries a detail
+    ("hfa-action-laws", "act", lambda f, x: None,
+     {"law": "identity action", "detail": "",
+      "inputs": {"f": IDENTITY_OBJ, "g": IDENTITY_OBJ, "x": {"atom": "0"}}}),
+    # no detail
+    ("enumeration-coverage", "rational_enum", lambda i: Q(0),
+     {"law": "rational enumeration injective",
+      "inputs": {"index": 1, "value": "0"}}),
+    # a detail
+    ("gap-soundness", "brute_scan_gap", lambda e, gap, max_den: Q(1, 2),
+     {"law": "closure-free gap", "detail": "1/2",
+      "inputs": {"e": {"points": ["1/9", "2/3"],
+                       "tails": [{"limit": "8/5", "coeff": "-2/3",
+                                  "ratio": "1/3", "headDrop": 0}]},
+                 "i": {"lower": "-1", "upper": "7/2"},
+                 "gap": {"lower": "8/7", "upper": "6/5"}}}),
+    # nested targets: pairs of a blocked interval and its gap
+    ("squeeze-postconditions", "squeeze_map",
+     lambda cover, targets: PLMap.identity(),
+     {"law": "blocked interval lands in its gap",
+      "inputs": {"cover": {"lower": "3/7", "upper": "17/7"},
+                 "targets": [[["16/21", "23/21"],
+                              {"lower": "4/3", "upper": "3/2"}],
+                             [["10/7", "37/21"],
+                              {"lower": "11/6", "upper": "2"}]]}}),
+]
+
+
+def test_counterexample_records_keep_their_shape(monkeypatch):
+    for name, attr, fake, want in PLANTED_FAILURES:
+        monkeypatch.setattr(properties, attr, fake)
+        got = PROPERTIES[name](Random(f"0:{name}"), 1)
+        monkeypatch.undo()
+        assert json.dumps(got) == json.dumps(want), name
