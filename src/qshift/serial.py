@@ -266,20 +266,27 @@ def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
     steps = []
     sigma, sigma_obj = None, None
     for st in trace.steps:
-        # an identity pi keeps sigma: each run of one map is encoded once
-        if st.sigma_next is not sigma:
-            sigma, sigma_obj = st.sigma_next, plmap_to_obj(st.sigma_next)
         shifted = st.shifted
         if isinstance(shifted, RecordedSet):
             shifted = shifted.decode()
-        steps.append({
-            "n": st.n,
-            "I": interval_to_obj(st.interval),
-            "J": interval_to_obj(st.gap),
-            "pi": plmap_to_obj(st.pi),
-            "sigma_next": sigma_obj,
-            "shifted": ndset_to_obj(shifted),
-        })
+        try:
+            # an identity pi keeps sigma: each run of one map is encoded once
+            if st.sigma_next is not sigma:
+                sigma, sigma_obj = st.sigma_next, plmap_to_obj(st.sigma_next)
+            steps.append({
+                "n": st.n,
+                "I": interval_to_obj(st.interval),
+                "J": interval_to_obj(st.gap),
+                "pi": plmap_to_obj(st.pi),
+                "sigma_next": sigma_obj,
+                "shifted": ndset_to_obj(shifted),
+            })
+        except ValueError as exc:
+            # the recursion can grow a parsed coefficient past the digits
+            # str() converts
+            raise _fail(f"step {st.n} holds a rational of more than "
+                        f"{_MAX_DIGITS} digits, which has no text form"
+                        ) from exc
     return {"streamHash": stream_hash(stream), "N": len(steps) - 1,
             "steps": steps}
 

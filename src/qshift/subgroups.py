@@ -10,6 +10,7 @@ enumeration is ever attempted.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import List, Optional, Sequence
@@ -28,104 +29,43 @@ class SubgroupTerm:
     __slots__ = ()
 
 
+@dataclass(frozen=True, slots=True)
 class _FullGroup(SubgroupTerm):
-    __slots__ = ()
-
     def __repr__(self):
         return "FullGroup"
-
-    def __eq__(self, other):
-        return isinstance(other, _FullGroup)
-
-    def __hash__(self):
-        return hash("full")
 
 
 FULL_GROUP = _FullGroup()
 
 
+@dataclass(frozen=True, slots=True)
 class Fix(SubgroupTerm):
     """Pointwise stabilizer of a nowhere-dense set of atoms."""
 
-    __slots__ = ("support",)
-
-    def __init__(self, support: NDSet):
-        object.__setattr__(self, "support", support)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fix is immutable")
-
-    def __repr__(self):
-        return f"Fix({self.support!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Fix) and self.support == other.support
-
-    def __hash__(self):
-        return hash(("fix", self.support))
+    support: NDSet
 
 
+@dataclass(frozen=True, slots=True)
 class Stab(SubgroupTerm):
     """Setwise stabilizer of a hereditarily finite value."""
 
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: HFAValue):
-        object.__setattr__(self, "obj", obj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Stab is immutable")
-
-    def __repr__(self):
-        return f"Stab({self.obj!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Stab) and self.obj == other.obj
-
-    def __hash__(self):
-        return hash(("stab", self.obj))
+    obj: HFAValue
 
 
+@dataclass(frozen=True, slots=True)
 class Conj(SubgroupTerm):
     """Conjugate subgroup: by . inner . by^-1."""
 
-    __slots__ = ("by", "inner")
-
-    def __init__(self, by: PLMap, inner: SubgroupTerm):
-        object.__setattr__(self, "by", by)
-        object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conj is immutable")
-
-    def __repr__(self):
-        return f"Conj({self.by!r}, {self.inner!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Conj) and self.by == other.by
-                and self.inner == other.inner)
-
-    def __hash__(self):
-        return hash(("conj", self.by, self.inner))
+    by: PLMap
+    inner: SubgroupTerm
 
 
+@dataclass(frozen=True, slots=True)
 class Inter(SubgroupTerm):
-    __slots__ = ("parts",)
+    parts: Sequence[SubgroupTerm]
 
-    def __init__(self, parts: Sequence[SubgroupTerm]):
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Inter is immutable")
-
-    def __repr__(self):
-        return f"Inter({list(self.parts)!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Inter) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("inter", self.parts))
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 # -- membership ----------------------------------------------------------
@@ -241,16 +181,37 @@ class ShiftProblem:
         raise AttributeError("ShiftProblem is immutable")
 
 
-def shifted_groups(problem: ShiftProblem) -> List[SubgroupTerm]:
-    """K_n: the n-th group conjugated by the composition of the first n
-    witness maps (K_0 is the plain first group)."""
+def shifted_groups(groups: Sequence[SubgroupTerm],
+                   witness: Sequence[PLMap]) -> List[SubgroupTerm]:
+    """K_n, normalized: the n-th group conjugated by the composition of
+    the first n witness maps (K_0 is the plain first group)."""
     out = []
     sigma = PLMap.identity()
-    for n, H in enumerate(problem.groups):
+    for n, H in enumerate(groups):
         out.append(normalize(Conj(sigma, H)))
-        if n < len(problem.witness):
-            sigma = problem.witness[n].compose(sigma)
+        if n < len(witness):
+            sigma = witness[n].compose(sigma)
     return out
+
+
+def check_decreasing(report: Report, groups: Sequence[SubgroupTerm],
+                     rng: Random) -> None:
+    """One ``decreasing`` record per consecutive pair of groups: exact
+    when both sides normalize to Fix form, otherwise sampled on maps
+    from ``rng`` (drawn only for such pairs)."""
+    for n in range(len(groups) - 1):
+        lo, hi = normalize(groups[n + 1]), normalize(groups[n])
+        if isinstance(lo, Fix) and isinstance(hi, Fix):
+            res = fix_leq(lo.support, hi.support)
+            ok, mode = res.verdict is SubsetVerdict.YES, "exact"
+            detail = ("" if res.witness is None
+                      else f"witness {rat_str(res.witness)}")
+        else:
+            support = lo.support if isinstance(lo, Fix) else NDSet()
+            ok = all(member(hi, g) for g in mixed_maps(support, rng, 20)
+                     if member(lo, g))
+            mode, detail = "sampled", ""
+        report.add("decreasing", ok, n, mode=mode, detail=detail)
 
 
 def check_shift_witness(problem: ShiftProblem, rng: Optional[Random] = None,
@@ -267,43 +228,30 @@ def check_shift_witness(problem: ShiftProblem, rng: Optional[Random] = None,
     """
     rng = rng if rng is not None else Random(0)
     report = Report()
-    ks = shifted_groups(problem)
+    ks = shifted_groups(problem.groups, problem.witness)
 
     report.add("candidate-basis",
                filter_descriptor.admits_basis(problem.candidate),
                detail=filter_descriptor.value)
 
-    for n in range(len(problem.groups) - 1):
-        lo, hi = problem.groups[n + 1], problem.groups[n]
-        lo_n, hi_n = normalize(lo), normalize(hi)
-        if isinstance(lo_n, Fix) and isinstance(hi_n, Fix):
-            res = fix_leq(lo_n.support, hi_n.support)
-            report.add("decreasing", res.verdict is SubsetVerdict.YES, n,
-                       detail="" if res.witness is None
-                       else f"witness {rat_str(res.witness)}")
-        else:
-            support = lo_n.support if isinstance(lo_n, Fix) else NDSet()
-            ok = all(member(hi_n, g) for g in mixed_maps(support, rng, 20)
-                     if member(lo_n, g))
-            report.add("decreasing", ok, n, mode="sampled")
+    check_decreasing(report, problem.groups, rng)
 
     for n, pi in enumerate(problem.witness):
         report.add("member", member(ks[n], pi), n)
 
     for n, K in enumerate(ks):
-        Kn = normalize(K)
-        if isinstance(Kn, _FullGroup):
+        if isinstance(K, _FullGroup):
             report.add("candidate-leq", True, n)
             continue
-        if isinstance(Kn, Fix):
-            res = fix_leq(problem.candidate, Kn.support)
+        if isinstance(K, Fix):
+            res = fix_leq(problem.candidate, K.support)
             if res.verdict is not SubsetVerdict.UNKNOWN:
                 report.add("candidate-leq", res.verdict is SubsetVerdict.YES,
                            n, detail="" if res.witness is None
                            else f"witness {rat_str(res.witness)}")
                 continue
         gens = fix_members(problem.candidate, rng, samples)
-        report.add("candidate-leq", all(member(Kn, g) for g in gens), n,
+        report.add("candidate-leq", all(member(K, g) for g in gens), n,
                    mode="sampled", detail=f"{len(gens)} generated members")
     return report
 
@@ -311,6 +259,6 @@ def check_shift_witness(problem: ShiftProblem, rng: Optional[Random] = None,
 __all__ = [
     "SubgroupTerm", "FULL_GROUP", "Fix", "Stab", "Conj", "Inter",
     "member", "fix_violation", "normalize", "fix_leq",
-    "FilterDescriptor", "ShiftProblem", "shifted_groups",
+    "FilterDescriptor", "ShiftProblem", "shifted_groups", "check_decreasing",
     "check_shift_witness",
 ]

@@ -23,8 +23,8 @@ from .plmaps import PLMap
 from .rationals import Q
 from .reporting import Report
 from .sampling import fix_members, mixed_maps
-from .subgroups import (Conj, Fix, Inter, Stab, SubgroupTerm, SubsetVerdict,
-                        fix_leq, member, normalize)
+from .subgroups import (Conj, Fix, Inter, Stab, SubgroupTerm, check_decreasing,
+                        member, shifted_groups)
 
 
 class CertificateError(ValueError):
@@ -218,7 +218,8 @@ def shifts_from_branch(inst: TreeInstance, cert: BranchCertificate,
     """Derive the map sequence pi_n = tau_n . tau_{n-1}^{-1} and the
     shifted groups, then verify both membership claims.
 
-    Claim 1 (each pi_n belongs to its shifted group) is exact.  Claim 2
+    The declared groups are checked to decrease, pair by pair, as in
+    ``subgroups.check_shift_witness``.  Claim 1 (each pi_n belongs to its shifted group) is exact.  Claim 2
     (the stabilizer of the branch meets the first group inside every
     shifted group) is checked on sampled generated members and reported
     as sampled evidence, never as proof.
@@ -241,18 +242,10 @@ def shifts_from_branch(inst: TreeInstance, cert: BranchCertificate,
         report.add("telescoping", sigma == cert.tau[n], n,
                    detail="pi_n . ... . pi_0 == tau_n")
 
-    for n in range(len(cert) - 1):
-        lo, hi = normalize(hs[n + 1]), normalize(hs[n])
-        if isinstance(lo, Fix) and isinstance(hi, Fix):
-            res = fix_leq(lo.support, hi.support)
-            report.add("decreasing", res.verdict is SubsetVerdict.YES, n)
+    check_decreasing(report, hs[:len(cert)], rng)
 
-    ks: List[SubgroupTerm] = []
-    for n in range(len(cert)):
-        if n == 0:
-            ks.append(normalize(hs[0]))
-        else:
-            ks.append(normalize(Conj(cert.tau[n - 1], hs[n])))
+    # equal to conjugating H_n by tau_{n-1} wherever telescoping holds
+    ks = shifted_groups(hs[:len(cert)], pis)
     for n, (k, pi) in enumerate(zip(ks, pis)):
         report.add("claim1", member(k, pi), n, detail="pi_n in K_n")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -250,6 +251,71 @@ def _assert_input_error(proc, needle):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:") and needle in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_theorem_flags_a_non_decreasing_chain(tmp_path):
+    # H_1 = the full group is not inside H_0 = Fix({0}); the pair is not
+    # in Fix form, so it is sampled rather than skipped
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    blob["H"][1] = "full"
+    bad = tmp_path / "full_h1.json"
+    bad.write_text(json.dumps(blob))
+    proc = _cli("theorem", "--stream", str(bad))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr) == {"failedClaim": "decreasing", "n": 0}
+    records = [rec for rec in map(json.loads, proc.stdout.splitlines())
+               if rec.get("check") == "decreasing"]
+    assert [rec["n"] for rec in records] == [0, 1, 2]
+    assert [rec["ok"] for rec in records] == [False, True, True]
+
+
+def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
+    # the shifted tails' coefficients outgrow the 4300 digits str()
+    # converts, although every parsed literal is shorter
+    coeff = "1/" + "7" * 4299
+    stream = tmp_path / "stream.json"
+    stream.write_text(json.dumps({"increments": [
+        {"points": ["0", "1/2", "1/3"], "tails": []},
+        {"points": [], "tails": [{"limit": "1/7", "coeff": coeff,
+                                  "ratio": "1/2", "headDrop": 0}]},
+        {"points": ["1/5", "2/9"], "tails": [
+            {"limit": "3/11", "coeff": "-" + coeff, "ratio": "2/3",
+             "headDrop": 0}]}]}))
+    out = tmp_path / "trace.json"
+    proc = _cli("construct", "--stream", str(stream), "--steps", "1",
+                "--out", str(out))
+    _assert_input_error(proc, "more than 4300 digits")
+    assert not out.exists()
+
+
+# sha256 of the stdout of the checks commands: a change that keeps their
+# records keeps these bytes.  theorem prints the same records for both
+# bundled instances and every seed
+CHECKS_STDOUT_SHA256 = {
+    ("theorem", "--stream", "theorem_identity.json", "--seed", "0",
+     "--cases", "250"):
+        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+    ("theorem", "--stream", "theorem_identity.json", "--seed", "5",
+     "--cases", "250"):
+        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+    ("theorem", "--stream", "theorem_translation.json", "--seed", "0",
+     "--cases", "250"):
+        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+    ("theorem", "--stream", "theorem_translation.json", "--seed", "5",
+     "--cases", "250"):
+        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+    ("props", "--seed", "0", "--cases", "50"):
+        "26f559230e5be66bfde2989fe58a2af93e3ccc9df311f900d93fc7745792e634",
+}
+
+
+def test_checks_stdout_bytes_pinned(capsys):
+    for argv, digest in CHECKS_STDOUT_SHA256.items():
+        assert run_cli(*argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, \
+            argv
 
 
 def test_boolean_head_drop_is_input_error(tmp_path):

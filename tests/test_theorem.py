@@ -10,7 +10,8 @@ from qshift.ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Q
 from qshift.serial import instance_from_obj, read_json_file
-from qshift.subgroups import Fix, member
+from qshift.subgroups import (FULL_GROUP, Conj, Fix, Stab, member,
+                              normalize)
 from qshift.theorem import (BranchCertificate, CertificateError, TreeInstance,
                             branch_from_shifts, essential_shift, orbit_member,
                             order_iso_fixing, shifts_from_branch)
@@ -172,6 +173,47 @@ def test_shifts_from_branch_nontrivial_maps():
                                          samples=20)
     assert report.passed
     assert pis[0] == tau and all(p.is_identity for p in pis[1:])
+
+
+def _conjugated_by_tau(cert, hs):
+    # K_n written with tau_{n-1} in place of the composed pi maps
+    return [normalize(hs[0])] + [normalize(Conj(cert.tau[n - 1], hs[n]))
+                                 for n in range(1, len(cert))]
+
+
+def test_shifted_groups_match_conjugation_by_tau():
+    tau = PLMap([(0, 0), (1, 2), (2, 3)])
+    xs = [Atom(i) for i in range(4)]
+    kinked = TreeInstance(xs, EMPTY_NDSET)
+    cases = [(kinked, BranchCertificate(
+        xs, [Atom(tau.apply(x.value)) for x in xs], [tau] * 4),
+        kinked.declared_groups(4))]
+    for name in ("theorem_identity.json", "theorem_translation.json"):
+        cases.append(instance_from_obj(read_json_file(str(SPECS / name))))
+    for inst, cert, hs in cases:
+        _, ks, report = shifts_from_branch(inst, cert, hs, Random(0),
+                                           samples=5)
+        assert report.passed
+        assert ks == _conjugated_by_tau(cert, hs)
+
+
+def test_shifts_from_branch_checks_every_pair_decreasing():
+    # non-Fix pairs are sampled rather than skipped
+    xs = [Atom(i + 1) for i in range(4)]
+    inst = TreeInstance(xs, EMPTY_NDSET)
+    cert = BranchCertificate(xs, xs, [PLMap.identity()] * 4)
+    hs = [FULL_GROUP, Stab(Atom(1)), Fix(ndset_points(1)),
+          Fix(ndset_points(1, 2))]
+    _, _, report = shifts_from_branch(inst, cert, hs, Random(0), samples=10)
+    records = [c for c in report.checks if c.name == "decreasing"]
+    assert [c.index for c in records] == list(range(len(cert) - 1))
+    assert [c.mode for c in records] == ["sampled", "sampled", "exact"]
+    assert all(c.ok for c in records)
+    # with the first two groups swapped the chain grows at n = 0
+    _, _, report = shifts_from_branch(inst, cert, hs[:2][::-1] + hs[2:],
+                                      Random(0), samples=10)
+    first = report.failures[0]
+    assert (first.name, first.index) == ("decreasing", 0)
 
 
 def test_essential_shift_identity_and_single():
