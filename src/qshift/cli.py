@@ -21,7 +21,6 @@ import functools
 import os
 import sys
 from importlib import resources
-from random import Random
 from typing import Optional
 
 from .construction import run_shift_construction, verify_shift_trace
@@ -35,6 +34,10 @@ from .theorem import CertificateError, branch_from_shifts, shifts_from_branch
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
+
+# construct --steps above this is refused at parse time: the recursion's
+# cost grows about quadratically in the steps
+_MAX_STEPS = 10_000
 
 
 def _emit(obj, stream=None) -> None:
@@ -88,11 +91,9 @@ def cmd_verify(args) -> int:
 
 def cmd_theorem(args) -> int:
     inst, cert, hs = instance_from_obj(read_json_file(_resolve_spec(args.stream)))
-    rng = Random(args.seed)
     report = Report()
 
-    _, _, branch_to_shift = shifts_from_branch(inst, cert, hs, rng,
-                                               samples=args.cases)
+    _, _, branch_to_shift = shifts_from_branch(inst, cert, hs)
     report.extend(branch_to_shift)
 
     upto = len(inst.base)
@@ -131,6 +132,15 @@ def nonnegative(text: str) -> int:
     return value
 
 
+def step_count(text: str) -> int:
+    """argparse type for ``construct --steps``: 0 to ``_MAX_STEPS``."""
+    value = nonnegative(text)
+    if value > _MAX_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_MAX_STEPS}: {value}")
+    return value
+
+
 @functools.cache  # built once per process, not once per call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -141,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the recursion, write a trace")
     p.add_argument("--stream", required=True, help="stream spec JSON file")
-    p.add_argument("--steps", type=nonnegative, required=True,
-                   help="last step index")
+    p.add_argument("--steps", type=step_count, required=True,
+                   help=f"last step index, at most {_MAX_STEPS}")
     p.add_argument("--out", required=True, help="trace output path")
 
     p = sub.add_parser("verify", help="re-check a trace file")
@@ -152,9 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="check a theorem instance file")
     p.add_argument("--stream", required=True,
                    help="instance JSON file (bundled name or path)")
-    p.add_argument("--seed", type=int, default=0)
+    # accepted for compatibility; every theorem check is exact
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: does not change the output")
     p.add_argument("--cases", type=nonnegative, default=100,
-                   help="samples per sampled check")
+                   help="ignored: does not change the output")
 
     p = sub.add_parser("props", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)

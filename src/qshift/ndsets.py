@@ -410,7 +410,15 @@ class NDSet:
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError("interval endpoints out of order")
-        return self.closure_meets_sorted(((a, b),))
+        pts = self.points
+        i = bisect_left(pts, a)
+        if i < len(pts) and pts[i] <= b:
+            return pts[i]
+        for t in self.tails:
+            w = t.closure_meets_closed(a, b)
+            if w is not None:
+                return w
+        return None
 
     def closure_meets_sorted(self, intervals: Sequence[Tuple[Q, Q]]
                              ) -> Optional[Q]:

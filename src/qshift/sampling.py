@@ -2,7 +2,7 @@
 
 All sampling flows through random.Random instances supplied by the
 caller, so identical seeds give identical corpora everywhere (test
-suites, CLI property runs, sampled subgroup checks).
+suites, CLI property runs, the sampled fallback of ``candidate-leq``).
 """
 
 from __future__ import annotations
@@ -113,19 +113,8 @@ def fix_members(support: NDSet, rng: Random, count: int) -> List[PLMap]:
     return out
 
 
-def mixed_maps(support: NDSet, rng: Random, count: int) -> List[PLMap]:
-    """Half unconstrained maps, half members of Fix(support)."""
-    out = []
-    for i in range(count):
-        if i % 2 == 0:
-            out.append(rng_plmap(rng))
-        else:
-            out.extend(fix_members(support, rng, 1))
-    return out
-
-
 __all__ = [
     "rng_rational", "rng_positive_rational", "rng_distinct_rationals",
     "rng_plmap", "rng_interval", "rng_geomtail", "rng_ndset", "rng_hfa",
-    "sample_points", "bump_in_gap", "fix_members", "mixed_maps",
+    "sample_points", "bump_in_gap", "fix_members",
 ]

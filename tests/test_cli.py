@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,6 +7,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from random import Random
+
+import pytest
 
 from qshift import cli, serial
 from qshift.cli import main
@@ -269,6 +272,40 @@ def test_theorem_flags_a_non_decreasing_chain(tmp_path):
     assert [rec["ok"] for rec in records] == [False, True, True]
 
 
+def test_theorem_flags_a_stab_group_above_its_predecessor(tmp_path):
+    # Stab(atom 1) = Fix({1}) is not inside H_0 = Fix({0}); decided
+    # exactly, so every seed flags it with the moved point 0
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    blob["H"][1] = {"stab": {"atom": "1"}}
+    bad = tmp_path / "stab_h1.json"
+    bad.write_text(json.dumps(blob))
+    for seed in range(10):
+        proc = _cli("theorem", "--stream", str(bad), "--seed", str(seed))
+        assert proc.returncode == 1, (seed, proc.stderr)
+        assert json.loads(proc.stderr) == {"failedClaim": "decreasing",
+                                           "n": 0}
+        first = [rec for rec in map(json.loads, proc.stdout.splitlines())
+                 if rec.get("check") == "decreasing" and rec["n"] == 0]
+        assert first == [{"check": "decreasing", "detail": "witness 0",
+                          "mode": "exact", "n": 0, "ok": False}], seed
+
+
+def test_construct_steps_capped_at_parse_time(tmp_path):
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qshift.cli", "construct",
+         "--stream", str(SPECS / "tail_start.json"),
+         "--steps", "100000000", "--out", str(out)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert f"must be at most {cli._MAX_STEPS}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.exists()
+    assert cli.step_count(str(cli._MAX_STEPS)) == cli._MAX_STEPS
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli.step_count(str(cli._MAX_STEPS + 1))
+
+
 def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
     # the shifted tails' coefficients outgrow the 4300 digits str()
     # converts, although every parsed literal is shorter
@@ -294,16 +331,16 @@ def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
 CHECKS_STDOUT_SHA256 = {
     ("theorem", "--stream", "theorem_identity.json", "--seed", "0",
      "--cases", "250"):
-        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+        "8f546270920881daa2801b8b18a66123b33835ff69345086222a0a5d0109af8b",
     ("theorem", "--stream", "theorem_identity.json", "--seed", "5",
      "--cases", "250"):
-        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+        "8f546270920881daa2801b8b18a66123b33835ff69345086222a0a5d0109af8b",
     ("theorem", "--stream", "theorem_translation.json", "--seed", "0",
      "--cases", "250"):
-        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+        "8f546270920881daa2801b8b18a66123b33835ff69345086222a0a5d0109af8b",
     ("theorem", "--stream", "theorem_translation.json", "--seed", "5",
      "--cases", "250"):
-        "5658244478b936df8605ccd7154a5cb4752584929da877ff49c1001e99922ed5",
+        "8f546270920881daa2801b8b18a66123b33835ff69345086222a0a5d0109af8b",
     ("props", "--seed", "0", "--cases", "50"):
         "26f559230e5be66bfde2989fe58a2af93e3ccc9df311f900d93fc7745792e634",
 }

@@ -2,12 +2,14 @@ from random import Random
 
 import pytest
 
+from qshift import subgroups
 from qshift.construction import (EStream, rational_enum,
                                  run_shift_construction, witness_subgroup)
 from qshift.hfa import Atom, SetNode, atoms_support, in_sym
-from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
-                           ndset_points, tail_final_piece)
+from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetResult,
+                           SubsetVerdict, ndset_points, tail_final_piece)
 from qshift.plmaps import PLMap, squeeze_map
+from qshift.properties import _rng_term
 from qshift.rationals import Interval, Q
 from qshift.sampling import (fix_members, rng_geomtail, rng_hfa, rng_ndset,
                              rng_plmap, rng_rational)
@@ -64,15 +66,52 @@ def test_normalize_rules():
     pi = PLMap.translation(7)
     assert normalize(Conj(PLMap.identity(), Fix(e))) == Fix(e)
     assert normalize(Conj(pi, Fix(e))) == Fix(e.image(pi))
-    assert normalize(Conj(pi, FULL_GROUP)) == FULL_GROUP
+    assert normalize(FULL_GROUP) == Fix(EMPTY_NDSET)
+    assert normalize(Conj(pi, FULL_GROUP)) == Fix(EMPTY_NDSET)
     x = SetNode([Atom(0)])
-    assert normalize(Conj(pi, Stab(x))) == Stab(SetNode([Atom(7)]))
+    assert normalize(Stab(x)) == Fix(ndset_points(0))
+    assert normalize(Conj(pi, Stab(x))) == Fix(ndset_points(7))
     rho = PLMap.scaling(2)
     assert normalize(Conj(pi, Conj(rho, Fix(e)))) == \
         normalize(Conj(pi.compose(rho), Fix(e)))
     flat = normalize(Inter([Inter([Fix(e), FULL_GROUP]), Fix(e)]))
     assert flat == Fix(e)
-    assert normalize(Inter([])) == FULL_GROUP
+    assert normalize(Inter([Stab(x), Fix(ndset_points(2))])) == \
+        Fix(ndset_points(0, 2))
+    assert normalize(Inter([])) == Fix(EMPTY_NDSET)
+
+
+def test_stab_is_fix_of_the_atom_support():
+    # the proved rule behind normalize's Stab case, against in_sym: maps
+    # fixing all, some or none of the atoms, and unconstrained maps
+    rng = Random(1601)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        x = rng_hfa(rng)
+        support = atoms_support(x)
+        some = NDSet(points=[p for p in support.points if rng.random() < 0.5])
+        maps = [rng_plmap(rng), PLMap.identity()]
+        maps += fix_members(support, rng, 2) + fix_members(some, rng, 2)
+        for f in maps:
+            got = in_sym(f, x)
+            assert got == (fix_violation(f, support) is None), (x, f)
+            seen[got] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_normalize_gives_fix_with_the_same_members():
+    rng = Random(1602)
+    moved = 0
+    for _ in range(300):
+        h = _rng_term(rng)
+        n = normalize(h)
+        assert isinstance(n, Fix), h
+        probes = [rng_plmap(rng), PLMap.identity()]
+        probes += fix_members(n.support, rng, 2)
+        for f in probes:
+            assert member(h, f) == member(n, f), (h, f)
+            moved += not member(n, f)
+    assert moved >= 200, moved
 
 
 def test_normalize_preserves_membership():
@@ -149,8 +188,9 @@ def test_check_shift_witness_mutation():
         assert failed == [n]
 
 
-def test_check_shift_witness_stab_groups_sampled():
-    # non-Fix groups force the sampled containment path
+def test_check_shift_witness_stab_groups_sampled(monkeypatch):
+    # Stab groups are decided exactly; candidate-leq is sampled only
+    # where fix_leq cannot decide
     rng = Random(6)
     x = rng_hfa(rng, max_depth=2)
     groups = [Stab(x), Stab(x)]
@@ -158,8 +198,15 @@ def test_check_shift_witness_stab_groups_sampled():
                            atoms_support(x))
     report = check_shift_witness(problem, rng, samples=15)
     assert report.passed
-    assert any(c.mode == "sampled" for c in report.checks
-               if c.name == "candidate-leq")
+    assert all(c.mode == "exact" for c in report.checks)
+    monkeypatch.setattr(subgroups, "fix_leq",
+                        lambda a, b: SubsetResult(SubsetVerdict.UNKNOWN))
+    report = check_shift_witness(problem, rng, samples=15)
+    leq = [c for c in report.checks if c.name == "candidate-leq"]
+    assert [c.mode for c in leq] == ["sampled", "sampled"]
+    assert all(c.ok for c in leq)
+    # an undecided pair of declared groups is not reported as decreasing
+    assert [c.ok for c in report.checks if c.name == "decreasing"] == [False]
 
 
 def test_shift_problem_validation():

@@ -5,13 +5,15 @@ import pytest
 
 from qshift.construction import EStream, run_shift_construction, \
     verify_shift_trace
-from qshift.hfa import Atom, SeqNode, atom_seq
-from qshift.ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
+from qshift.hfa import Atom, SeqNode, atom_seq, atoms_support
+from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
+                           ndset_points)
 from qshift.plmaps import PLMap
 from qshift.rationals import Q
+from qshift.sampling import fix_members, rng_plmap
 from qshift.serial import instance_from_obj, read_json_file
-from qshift.subgroups import (FULL_GROUP, Conj, Fix, Stab, member,
-                              normalize)
+from qshift.subgroups import (FULL_GROUP, Conj, Fix, Inter, Stab, fix_leq,
+                              member, normalize)
 from qshift.theorem import (BranchCertificate, CertificateError, TreeInstance,
                             branch_from_shifts, essential_shift, orbit_member,
                             order_iso_fixing, shifts_from_branch)
@@ -129,8 +131,7 @@ def test_shifts_from_branch_identity():
     inst = TreeInstance(xs, EMPTY_NDSET)
     cert = BranchCertificate(xs, xs, [PLMap.identity()] * 3)
     pis, ks, report = shifts_from_branch(inst, cert,
-                                         inst.declared_groups(3), Random(0),
-                                         samples=20)
+                                         inst.declared_groups(3))
     assert report.passed
     assert all(p.is_identity for p in pis)
 
@@ -142,8 +143,7 @@ def test_shifts_from_branch_translation():
     cert = BranchCertificate(xs, [Atom(i + 3) for i in range(4)],
                              [PLMap.translation(c)] * 4)
     pis, ks, report = shifts_from_branch(inst, cert,
-                                         inst.declared_groups(4), Random(0),
-                                         samples=30)
+                                         inst.declared_groups(4))
     assert report.passed, report.summary()
     assert pis[0] == PLMap.translation(3)
     assert all(p.is_identity for p in pis[1:])
@@ -169,8 +169,7 @@ def test_shifts_from_branch_nontrivial_maps():
     ts = [Atom(tau.apply(x.value)) for x in xs]
     cert = BranchCertificate(xs, ts, [tau] * 4)
     pis, ks, report = shifts_from_branch(inst, cert,
-                                         inst.declared_groups(4), Random(0),
-                                         samples=20)
+                                         inst.declared_groups(4))
     assert report.passed
     assert pis[0] == tau and all(p.is_identity for p in pis[1:])
 
@@ -191,37 +190,128 @@ def test_shifted_groups_match_conjugation_by_tau():
     for name in ("theorem_identity.json", "theorem_translation.json"):
         cases.append(instance_from_obj(read_json_file(str(SPECS / name))))
     for inst, cert, hs in cases:
-        _, ks, report = shifts_from_branch(inst, cert, hs, Random(0),
-                                           samples=5)
+        _, ks, report = shifts_from_branch(inst, cert, hs)
         assert report.passed
         assert ks == _conjugated_by_tau(cert, hs)
 
 
 def test_shifts_from_branch_checks_every_pair_decreasing():
-    # non-Fix pairs are sampled rather than skipped
+    # every pair is decided exactly, the full group and Stab included
     xs = [Atom(i + 1) for i in range(4)]
     inst = TreeInstance(xs, EMPTY_NDSET)
     cert = BranchCertificate(xs, xs, [PLMap.identity()] * 4)
     hs = [FULL_GROUP, Stab(Atom(1)), Fix(ndset_points(1)),
           Fix(ndset_points(1, 2))]
-    _, _, report = shifts_from_branch(inst, cert, hs, Random(0), samples=10)
+    _, _, report = shifts_from_branch(inst, cert, hs)
     records = [c for c in report.checks if c.name == "decreasing"]
     assert [c.index for c in records] == list(range(len(cert) - 1))
-    assert [c.mode for c in records] == ["sampled", "sampled", "exact"]
+    assert [c.mode for c in records] == ["exact", "exact", "exact"]
     assert all(c.ok for c in records)
     # with the first two groups swapped the chain grows at n = 0
-    _, _, report = shifts_from_branch(inst, cert, hs[:2][::-1] + hs[2:],
-                                      Random(0), samples=10)
+    _, _, report = shifts_from_branch(inst, cert, hs[:2][::-1] + hs[2:])
     first = report.failures[0]
     assert (first.name, first.index) == ("decreasing", 0)
+    assert first.detail == "witness 1"
+    # a last group fixing a point off the branch fails claim 2 there only
+    _, _, report = shifts_from_branch(inst, cert,
+                                      hs[:3] + [Fix(ndset_points(1, 2, 100))])
+    assert [(c.name, c.index, c.detail) for c in report.failures] == \
+        [("claim2", 3, "witness 100")]
+    # a first group fixing such a point fails the generators' claim too
+    _, _, report = shifts_from_branch(inst, cert, [Fix(ndset_points(100))] * 4)
+    assert [(c.name, c.index) for c in report.failures] == \
+        [("claim2-generators", None)] + [("claim2", n) for n in range(4)]
+
+
+def _half_free_half_fixing(support, rng, count):
+    """Half unconstrained maps, half members of Fix(support): the maps
+    the sampled checks drew."""
+    out = []
+    for i in range(count):
+        if i % 2 == 0:
+            out.append(rng_plmap(rng))
+        else:
+            out.extend(fix_members(support, rng, 1))
+    return out
+
+
+def _sampled_decreasing(groups, rng):
+    """The sampled ``decreasing`` verdicts: exact for a pair of Fix terms,
+    else 20 maps, as checked before every term normalized to Fix."""
+    verdicts = []
+    for n in range(len(groups) - 1):
+        lo, hi = groups[n + 1], groups[n]
+        if isinstance(lo, Fix) and isinstance(hi, Fix):
+            ok = fix_leq(lo.support, hi.support).verdict is SubsetVerdict.YES
+        else:
+            support = lo.support if isinstance(lo, Fix) else NDSet()
+            ok = all(member(hi, g)
+                     for g in _half_free_half_fixing(support, rng, 20)
+                     if member(lo, g))
+        verdicts.append(ok)
+    return verdicts
+
+
+def _sampled_claim2(inst, cert, ks, rng, samples):
+    """The sampled ``claim2-generators`` and ``claim2`` verdicts, on the
+    shifted groups as written."""
+    branch_prefix = SeqNode(cert.t)
+    k_top = Inter([Stab(branch_prefix), ks[0]])
+    gen_support = inst.base_support.union(atoms_support(branch_prefix))
+    gens = fix_members(gen_support, rng, samples)
+    return ([all(member(k_top, g) for g in gens)]
+            + [all(member(k, g) for g in gens) for k in ks])
+
+
+def test_sampling_never_refuses_what_the_exact_checks_accept():
+    # the sampled checks are the oracle: where the exact check says yes,
+    # no sample may say no
+    xs = [Atom(i + 1) for i in range(4)]
+    chain = TreeInstance(xs, EMPTY_NDSET)
+    hs = [FULL_GROUP, Stab(Atom(1)), Fix(ndset_points(1)),
+          Fix(ndset_points(1, 2))]
+    cases = [(chain, BranchCertificate(xs, xs, [PLMap.identity()] * 4), hs),
+             (chain, BranchCertificate(xs, xs, [PLMap.identity()] * 4),
+              hs[:2][::-1] + hs[2:])]
+    for name in ("theorem_identity.json", "theorem_translation.json"):
+        cases.append(instance_from_obj(read_json_file(str(SPECS / name))))
+    yes = 0
+    for inst, cert, hs in cases:
+        pis, _, report = shifts_from_branch(inst, cert, hs)
+        exact = [c.ok for c in report.checks
+                 if c.name in ("decreasing", "claim2-generators", "claim2")]
+        # the un-normalized shifted groups, conjugated by the composed maps
+        written, sigma = [], PLMap.identity()
+        for n, h in enumerate(hs[:len(cert)]):
+            written.append(Conj(sigma, h))
+            sigma = pis[n].compose(sigma)
+        for seed in range(6):
+            rng = Random(seed)
+            sampled = (_sampled_decreasing(hs[:len(cert)], rng)
+                       + _sampled_claim2(inst, cert, written, rng, 40))
+            assert len(sampled) == len(exact)
+            for e, s in zip(exact, sampled):
+                assert s or not e, (cert.t, seed, exact, sampled)
+                yes += e
+    assert yes >= 100, yes
 
 
 def test_essential_shift_identity_and_single():
     xs = [Atom(0), Atom(1)]
-    ys, report = essential_shift(xs, [PLMap.identity()], Random(0), samples=20)
+    ys, report = essential_shift(xs, [PLMap.identity()])
     assert ys == xs and report.passed
-    ys, report = essential_shift([Atom(5)], [], Random(0), samples=10)
+    ys, report = essential_shift([Atom(5)], [])
     assert ys == [Atom(5)] and report.passed
+
+
+def test_essential_shift_through_moving_maps():
+    # y_1 = pi_0(x_1) moves, so the conjugate must be taken by pi_0
+    xs = [Atom(0), Atom(1)]
+    ys, report = essential_shift(xs, [PLMap.translation(3)])
+    assert ys == [Atom(0), Atom(4)] and report.passed
+    assert [c.name for c in report.checks] == [
+        "conjugation-two-route", "conjugation-two-route",
+        "sequence-stabilizer"]
 
 
 def test_essential_shift_with_verified_witness():
@@ -230,7 +320,6 @@ def test_essential_shift_with_verified_witness():
                       EMPTY_NDSET])
     trace = run_shift_construction(stream, 3)
     assert verify_shift_trace(trace, stream).passed
-    ys, report = essential_shift(xs, [st.pi for st in trace.steps],
-                                 Random(0), samples=40)
+    ys, report = essential_shift(xs, [st.pi for st in trace.steps])
     assert report.passed, report.summary()
     assert ys[0] == xs[0]  # the empty composition leaves x_0 alone
