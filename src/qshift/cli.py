@@ -9,9 +9,10 @@ Subcommands:
   theorem instance.
 * ``props``     -- run the seeded property suites.
 
-Exit codes: 0 all checks passed, 1 a semantic check failed, 2 unreadable
-or ill-formed input.  Reports are JSON lines; identical configurations
-produce byte-identical files and output.
+Exit codes: 0 all checks passed, 1 a semantic check failed (or the
+recursion found no map evacuating a gap), 2 unreadable or ill-formed
+input.  Reports are JSON lines; identical configurations produce
+byte-identical files and output.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .construction import run_shift_construction, verify_shift_trace
+from .construction import (EvacuationError, run_shift_construction,
+                           verify_shift_trace)
 from .properties import run_properties
-from .reporting import Report
+from .reporting import Report, write_rows
 from .serial import (SerializationError, canon_dumps, instance_from_obj,
                      read_json_file, stream_from_obj, stream_hash,
                      trace_from_obj, trace_to_obj, write_json_file)
@@ -46,10 +48,9 @@ def _emit(obj, stream=None) -> None:
 
 
 def _print_report(report: Report, command: str) -> None:
-    for check in report.checks:
-        _emit(check.to_json_obj())
+    write_rows(report.rows, sys.stdout)
     _emit({"command": command, "passed": report.passed,
-           "checks": len(report.checks), "failures": len(report.failures)})
+           "checks": len(report.rows), "failures": report.failed})
 
 
 def _resolve_spec(name: str) -> str:
@@ -68,8 +69,7 @@ def cmd_construct(args) -> int:
     write_json_file(args.out, obj)
     report = verify_shift_trace(trace, stream)
     if not report.passed:
-        for check in report.failures:
-            _emit(check.to_json_obj(), sys.stderr)
+        write_rows((row for row in report.rows if not row[1]), sys.stderr)
         return EXIT_FAIL
     _emit({"command": "construct", "passed": True, "steps": len(trace.steps),
            "out": args.out, "streamHash": obj["streamHash"]})
@@ -185,6 +185,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_IO
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except EvacuationError as exc:
+        print(f"evacuation error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -368,12 +368,13 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
     gaps = [(step.gap.lower, step.gap.upper) for step in trace.steps]
     clear = [chained and shifted[-1].closure_meets_closed(a, b) is None
              for a, b in gaps]
+    labels = [f"J_{k}" for k in range(len(gaps))]
     for m, s in enumerate(shifted):
-        for k, (a, b) in enumerate(gaps):
-            w = None if clear[k] else s.closure_meets_closed(a, b)
+        for (a, b), is_clear, label in zip(gaps, clear, labels):
+            w = None if is_clear else s.closure_meets_closed(a, b)
             report.add("gap-disjoint", w is None, m,
-                       detail=f"J_{k}" if w is None
-                       else f"J_{k} contains {_witness_text(w)}")
+                       detail=label if w is None
+                       else f"{label} contains {_witness_text(w)}")
     return report
 
 

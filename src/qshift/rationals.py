@@ -16,6 +16,11 @@ RatLike = Union["Q", int, str]
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
+# digits allowed in a numerator or denominator: CPython's default limit on
+# int <-> str conversion, checked here so that the cap holds whatever
+# PYTHONINTMAXSTRDIGITS says
+_MAX_DIGITS = 4300
+
 
 def rat(value: RatLike) -> Q:
     """Coerce an int, a 'p/q' string, or a Q into a Q."""
@@ -33,8 +38,14 @@ def parse_rational(text: str) -> Q:
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num_text, den_text = m.groups()
+    # the length test first: no shorter text can hold too many digits
+    if len(text) > _MAX_DIGITS and max(
+            len(num_text.lstrip("+-")), len(den_text or "")) > _MAX_DIGITS:
+        raise ValueError(f"more than {_MAX_DIGITS} digits in the numerator "
+                         f"or denominator of a rational literal")
+    num = int(num_text)
+    den = int(den_text) if den_text is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Q(num, den)

@@ -16,7 +16,7 @@ from .construction import EStream, ShiftStep, ShiftTrace
 from .hfa import Atom, HFAValue, SeqNode, SetNode
 from .ndsets import GeomTail, NDSet
 from .plmaps import PLMap
-from .rationals import Interval, Q, parse_rational, rat_str
+from .rationals import _MAX_DIGITS, Interval, Q, parse_rational, rat_str
 from .subgroups import (FULL_GROUP, Conj, Fix, Inter, Stab, SubgroupTerm,
                         _FullGroup, normalize)
 from .theorem import BranchCertificate, TreeInstance
@@ -113,10 +113,6 @@ def ndset_to_obj(e: NDSet) -> dict:
                    "ratio": rat_str(t.ratio), "headDrop": 0}
                   for t in e.tails],
     }
-
-
-# Python converts ints of at most this many digits to and from strings
-_MAX_DIGITS = 4300
 
 
 def ndset_from_obj(o: Any) -> NDSet:

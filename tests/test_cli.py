@@ -12,8 +12,11 @@ import pytest
 
 from qshift import cli, serial
 from qshift.cli import main
-from qshift.construction import EStream, ShiftStep, ShiftTrace, rational_enum
+from qshift.construction import (EStream, EvacuationError, ShiftStep,
+                                 ShiftTrace, rational_enum)
 from qshift.ndsets import NDSet, ndset_points
+from qshift.plmaps import PLMap
+from qshift.rationals import Q
 from qshift.sampling import rng_geomtail, rng_rational
 from qshift.serial import ndset_from_obj, stream_to_obj, write_json_file
 
@@ -257,8 +260,8 @@ def _assert_input_error(proc, needle):
 
 
 def test_theorem_flags_a_non_decreasing_chain(tmp_path):
-    # H_1 = the full group is not inside H_0 = Fix({0}); the pair is not
-    # in Fix form, so it is sampled rather than skipped
+    # H_1 = the full group is not inside H_0 = Fix({0}); the full group
+    # normalizes to Fix of the empty set, so the pair is decided exactly
     blob = json.loads((SPECS / "theorem_identity.json").read_text())
     blob["H"][1] = "full"
     bad = tmp_path / "full_h1.json"
@@ -325,9 +328,11 @@ def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
     assert not out.exists()
 
 
-# sha256 of the stdout of the checks commands: a change that keeps their
-# records keeps these bytes.  theorem prints the same records for both
-# bundled instances and every seed
+# sha256 of the stdout of the checks commands and of verify: a change that
+# keeps their records keeps these bytes.  theorem prints the same records
+# for both bundled instances and every seed.  {trace} is dense_singletons
+# constructed through step 10; {tampered} is that trace with J_6 moved onto
+# the shifted point 117/418, which fails four gap-disjoint records
 CHECKS_STDOUT_SHA256 = {
     ("theorem", "--stream", "theorem_identity.json", "--seed", "0",
      "--cases", "250"):
@@ -343,16 +348,95 @@ CHECKS_STDOUT_SHA256 = {
         "8f546270920881daa2801b8b18a66123b33835ff69345086222a0a5d0109af8b",
     ("props", "--seed", "0", "--cases", "50"):
         "26f559230e5be66bfde2989fe58a2af93e3ccc9df311f900d93fc7745792e634",
+    ("verify", "--stream", "dense_singletons.json", "--out", "{trace}"):
+        "5b8c40f9189840dcdd6e1c6d0cb7be299b6d37c02f6f454892838a8ffe8c3b54",
+    ("verify", "--stream", "dense_singletons.json", "--out", "{tampered}"):
+        "1d338f62c21c9375d6d442846e1f88ca332027cbf3b10069cf2b8ce3fc2a9660",
 }
 
 
-def test_checks_stdout_bytes_pinned(capsys):
+def test_checks_stdout_bytes_pinned(tmp_path, capsys):
+    trace, tampered = tmp_path / "trace.json", tmp_path / "tampered.json"
+    assert run_cli("construct", "--stream", "dense_singletons.json",
+                   "--steps", "10", "--out", str(trace)) == 0
+    blob = json.loads(trace.read_text())
+    assert blob["steps"][6]["J"] == {"lower": "1/3", "upper": "2/5"}
+    assert "117/418" in blob["steps"][7]["shifted"]["points"]
+    blob["steps"][6]["J"] = {"lower": "1/4", "upper": "2/5"}
+    tampered.write_text(json.dumps(blob))
+    capsys.readouterr()
     for argv, digest in CHECKS_STDOUT_SHA256.items():
-        assert run_cli(*argv) == 0, argv
+        code = run_cli(*(a.format(trace=trace, tampered=tampered)
+                         for a in argv))
+        assert code == (1 if "{tampered}" in argv else 0), argv
         captured = capsys.readouterr()
         assert captured.err == "", argv
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, \
             argv
+
+
+def test_construct_prints_only_its_failed_checks_to_stderr(
+        monkeypatch, tmp_path, capsys):
+    build = cli.run_shift_construction
+
+    def moved_pi_3(stream, upto):
+        steps = list(build(stream, upto).steps)
+        s = steps[3]
+        steps[3] = ShiftStep(s.n, s.interval, s.gap,
+                             PLMap([(Q(0), Q(10 ** 6))], Q(1), Q(1)),
+                             s.sigma_next, s.shifted)
+        return ShiftTrace(steps)
+
+    out = str(tmp_path / "trace.json")
+    monkeypatch.setattr(cli, "run_shift_construction", moved_pi_3)
+    assert run_cli("construct", "--stream", "dense_singletons.json",
+                   "--steps", "8", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+    # the same lines verify prints for the failed checks of that trace
+    assert run_cli("verify", "--stream", "dense_singletons.json",
+                   "--out", out) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()[:-1]
+              if not json.loads(line)["ok"]]
+    assert captured.err.splitlines() == failed
+
+
+def test_rational_digit_cap_holds_without_the_int_str_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own 4300-digit limit on
+    # int(), so only parse_rational's explicit cap refuses the longer point
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+    for digits, code in ((4300, 0), (4301, 2)):
+        stream = tmp_path / f"point{digits}.json"
+        stream.write_text(json.dumps({"increments": [
+            {"points": ["0"], "tails": []},
+            {"points": ["1/" + "7" * digits], "tails": []}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qshift.cli", "construct",
+             "--stream", str(stream), "--steps", "2",
+             "--out", str(tmp_path / f"trace{digits}.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == code, (digits, proc.stderr)
+        assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert "more than 4300 digits" in proc.stderr
+
+
+def test_evacuation_error_exits_1_without_traceback(
+        monkeypatch, tmp_path, capsys):
+    def refuse(stream, upto):
+        raise EvacuationError(Q(1), (Q(0), Q(2)))
+
+    out = tmp_path / "trace.json"
+    monkeypatch.setattr(cli, "run_shift_construction", refuse)
+    for argv in (["construct", "--stream", "dense_singletons.json",
+                  "--steps", "3", "--out", str(out)],
+                 ["theorem", "--stream", "theorem_identity.json"]):
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("evacuation error: closure point 1 lies in "
+                                "blocked interval [0, 2]\n")
+    assert not out.exists()
 
 
 def test_boolean_head_drop_is_input_error(tmp_path):

@@ -20,6 +20,15 @@ def test_parse_rejects_garbage():
             parse_rational(text)
 
 
+def test_parse_caps_digits_per_numerator_and_denominator():
+    top = "9" * 4300
+    for text in (top, "-" + top, "+" + top, f"{top}/{top}", " 1/" + top):
+        parse_rational(text)
+    for text in ("9" + top, "-9" + top, "1/9" + top, "0" + top):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_rational(text)
+
+
 def test_rat_coercions():
     assert rat(3) == Q(3)
     assert rat("3/4") == Q(3, 4)
