@@ -302,8 +302,8 @@ def witness_subgroup(trace: ShiftTrace) -> NDSet:
 
 
 def _witness_text(q: Q) -> str:
-    # str() refuses an int of more than 4300 digits, and a tampered map can
-    # send a stream point to a rational that long
+    # rat_str refuses a rational of more than 4300 digits, and a tampered
+    # map can send a stream point to one that long
     try:
         return rat_str(q)
     except ValueError:

@@ -16,9 +16,9 @@ RatLike = Union["Q", int, str]
 
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
-# digits allowed in a numerator or denominator: CPython's default limit on
-# int <-> str conversion, checked here so that the cap holds whatever
-# PYTHONINTMAXSTRDIGITS says
+# digits allowed in a numerator or denominator, read or written: CPython's
+# default limit on int <-> str conversion, checked here so that the cap
+# holds whatever PYTHONINTMAXSTRDIGITS says
 _MAX_DIGITS = 4300
 
 
@@ -52,10 +52,21 @@ def parse_rational(text: str) -> Q:
 
 
 def rat_str(q: Q) -> str:
-    """Canonical text form: 'p/q', with '/q' omitted for integers."""
+    """Canonical text form: 'p/q', with '/q' omitted for integers.
+
+    Refuses with ``ValueError`` a numerator or denominator of more than
+    ``_MAX_DIGITS`` digits, the longest that ``parse_rational`` reads back.
+    """
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        text = str(q.numerator)
+    else:
+        text = f"{q.numerator}/{q.denominator}"
+    # the length test first: no shorter text can hold too many digits
+    if len(text) > _MAX_DIGITS and max(
+            len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS:
+        raise ValueError(f"more than {_MAX_DIGITS} digits in the numerator "
+                         f"or denominator of a rational")
+    return text
 
 
 def floor_rat(q: Q) -> int:

@@ -279,7 +279,7 @@ def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
             })
         except ValueError as exc:
             # the recursion can grow a parsed coefficient past the digits
-            # str() converts
+            # rat_str writes
             raise _fail(f"step {st.n} holds a rational of more than "
                         f"{_MAX_DIGITS} digits, which has no text form"
                         ) from exc

@@ -1,5 +1,6 @@
-"""Shared fixtures: the compiled rational kernel, built when missing, and
-a sampler of sets whose tail hulls overlap deeply.
+"""Shared fixtures: the compiled rational kernel, built when missing, both
+kernels' ``Q`` side by side, and a sampler of sets whose tail hulls
+overlap deeply.
 
 Both kernels are tested in every run.  When ``qshift._qarith._speedups``
 is not importable (a plain checkout run with ``PYTHONPATH=src``), the
@@ -52,6 +53,13 @@ def speedups(request):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def kernels(speedups):
+    """Both kernels' ``Q``: the pure one, then the compiled one."""
+    from qshift._qarith.pure import Q as PureQ
+    return (PureQ, speedups.Q)
 
 
 @pytest.fixture(scope="session")

@@ -248,9 +248,9 @@ def test_unwritable_out_is_input_error(tmp_path):
     assert not out.exists()
 
 
-def _cli(*argv):
+def _cli(*argv, env=None):
     return subprocess.run([sys.executable, "-m", "qshift.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def _assert_input_error(proc, needle):
@@ -310,8 +310,9 @@ def test_construct_steps_capped_at_parse_time(tmp_path):
 
 
 def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
-    # the shifted tails' coefficients outgrow the 4300 digits str()
-    # converts, although every parsed literal is shorter
+    # the shifted tails' coefficients outgrow the 4300 digits a rational
+    # literal may have, although every parsed literal is shorter; with
+    # CPython's int <-> str limit off ("0"), only rat_str's cap refuses
     coeff = "1/" + "7" * 4299
     stream = tmp_path / "stream.json"
     stream.write_text(json.dumps({"increments": [
@@ -322,10 +323,13 @@ def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
             {"limit": "3/11", "coeff": "-" + coeff, "ratio": "2/3",
              "headDrop": 0}]}]}))
     out = tmp_path / "trace.json"
-    proc = _cli("construct", "--stream", str(stream), "--steps", "1",
-                "--out", str(out))
-    _assert_input_error(proc, "more than 4300 digits")
-    assert not out.exists()
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONINTMAXSTRDIGITS"}
+    for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+        proc = _cli("construct", "--stream", str(stream), "--steps", "1",
+                    "--out", str(out), env={**env, **limit})
+        _assert_input_error(proc, "more than 4300 digits")
+        assert not out.exists()
 
 
 # sha256 of the stdout of the checks commands and of verify: a change that

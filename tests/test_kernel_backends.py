@@ -1,5 +1,7 @@
-"""Conformance between the compiled rational kernel and the pure
-fallback, which is stdlib Fraction."""
+"""Conformance of the two rational kernels, the compiled extension and
+its pure-Python port, with stdlib Fraction as the oracle both must match;
+and, under each kernel, the CLI's output bytes and the absence of any
+Fraction in the objects it builds."""
 
 import json
 import os
@@ -15,92 +17,97 @@ from qshift._qarith import BACKEND
 from qshift._qarith.pure import Q as PureQ
 
 
-@pytest.fixture
-def FastQ(speedups):
-    return speedups.Q
-
-
 def test_backend_reports_something_sane():
     assert BACKEND in ("pure", "speedups")
 
 
-def test_pure_backend_is_fraction():
-    assert PureQ is Fraction
+def test_pure_kernel_is_not_fraction():
+    assert PureQ is not Fraction
+    code = ("import sys, qshift.cli; from qshift._qarith import BACKEND; "
+            "print(BACKEND, 'fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, QSHIFT_BACKEND="pure"),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pure", "False"]
 
 
-def test_construction_and_normalization(FastQ):
-    assert (FastQ(6, 4).numerator, FastQ(6, 4).denominator) == (3, 2)
-    assert (FastQ(-6, -4).numerator, FastQ(-6, -4).denominator) == (3, 2)
-    assert (FastQ(6, -4).numerator, FastQ(6, -4).denominator) == (-3, 2)
-    assert (FastQ(0, 7).numerator, FastQ(0, 7).denominator) == (0, 1)
-    assert FastQ(FastQ(2, 3)) == FastQ(2, 3)
-    with pytest.raises(ZeroDivisionError):
-        FastQ(1, 0)
-    with pytest.raises(TypeError):
-        FastQ(1.5)
+def test_construction_and_normalization(kernels):
+    for Q in kernels:
+        assert (Q(6, 4).numerator, Q(6, 4).denominator) == (3, 2)
+        assert (Q(-6, -4).numerator, Q(-6, -4).denominator) == (3, 2)
+        assert (Q(6, -4).numerator, Q(6, -4).denominator) == (-3, 2)
+        assert (Q(0, 7).numerator, Q(0, 7).denominator) == (0, 1)
+        assert Q(Q(2, 3)) == Q(2, 3)
+        with pytest.raises(ZeroDivisionError):
+            Q(1, 0)
+        with pytest.raises(TypeError):
+            Q(1.5)
 
 
-def test_random_op_conformance(FastQ):
-    rng = Random(101)
+def test_random_op_conformance(kernels):
+    for Q in kernels:
+        rng = Random(101)
 
-    def pair(a, b):
-        return PureQ(a, b), FastQ(a, b)
+        def pair(a, b):
+            return Fraction(a, b), Q(a, b)
 
-    values = [pair(rng.randint(-40, 40), rng.randint(1, 40))
-              for _ in range(60)]
-    for (pa, fa) in values:
-        assert (pa.numerator, pa.denominator) == (fa.numerator, fa.denominator)
-        assert str(pa) == str(fa)
-        assert float(pa) == float(fa)
-    for (pa, fa) in values:
-        for (pb, fb) in values[:20]:
-            for op in ("__add__", "__sub__", "__mul__"):
-                pres = getattr(pa, op)(pb)
-                fres = getattr(fa, op)(fb)
-                assert (pres.numerator, pres.denominator) == \
-                    (fres.numerator, fres.denominator), op
-            if pb != 0:
-                pres, fres = pa / pb, fa / fb
-                assert (pres.numerator, pres.denominator) == \
-                    (fres.numerator, fres.denominator)
-            assert (pa < pb) == (fa < fb)
-            assert (pa <= pb) == (fa <= fb)
-            assert (pa == pb) == (fa == fb)
-
-
-def test_int_mixing(FastQ):
-    f = FastQ(3, 2)
-    assert f + 1 == FastQ(5, 2) and 1 + f == FastQ(5, 2)
-    assert f - 2 == FastQ(-1, 2) and 2 - f == FastQ(1, 2)
-    assert f * 4 == FastQ(6) and 4 * f == FastQ(6)
-    assert f / 3 == FastQ(1, 2) and 3 / f == FastQ(2)
-    assert f < 2 and f > 1 and f != 1 and FastQ(4, 2) == 2
-    assert hash(FastQ(5)) == hash(5)
-    assert bool(FastQ(0)) is False and bool(f) is True
+        values = [pair(rng.randint(-40, 40), rng.randint(1, 40))
+                  for _ in range(60)]
+        for (pa, fa) in values:
+            assert (pa.numerator, pa.denominator) == \
+                (fa.numerator, fa.denominator)
+            assert str(pa) == str(fa)
+            assert float(pa) == float(fa)
+        for (pa, fa) in values:
+            for (pb, fb) in values[:20]:
+                for op in ("__add__", "__sub__", "__mul__"):
+                    pres = getattr(pa, op)(pb)
+                    fres = getattr(fa, op)(fb)
+                    assert (pres.numerator, pres.denominator) == \
+                        (fres.numerator, fres.denominator), op
+                if pb != 0:
+                    pres, fres = pa / pb, fa / fb
+                    assert (pres.numerator, pres.denominator) == \
+                        (fres.numerator, fres.denominator)
+                assert (pa < pb) == (fa < fb)
+                assert (pa <= pb) == (fa <= fb)
+                assert (pa == pb) == (fa == fb)
 
 
-def test_powers(FastQ):
-    assert FastQ(2, 3) ** 3 == FastQ(8, 27)
-    assert FastQ(2, 3) ** 0 == FastQ(1)
-    assert FastQ(2, 3) ** -2 == FastQ(9, 4)
-    assert FastQ(-2, 3) ** -3 == FastQ(-27, 8)
-    with pytest.raises(ZeroDivisionError):
-        FastQ(0) ** -1
-    # matches Fraction on a sweep
-    for n in range(-6, 7):
-        if n >= 0:
-            assert str(FastQ(-3, 5) ** n) == str(PureQ(-3, 5) ** n)
-        else:
-            assert str(FastQ(-3, 5) ** n) == str(PureQ(-3, 5) ** n)
+def test_int_mixing(kernels):
+    for Q in kernels:
+        f = Q(3, 2)
+        assert f + 1 == Q(5, 2) and 1 + f == Q(5, 2)
+        assert f - 2 == Q(-1, 2) and 2 - f == Q(1, 2)
+        assert f * 4 == Q(6) and 4 * f == Q(6)
+        assert f / 3 == Q(1, 2) and 3 / f == Q(2)
+        assert f < 2 and f > 1 and f != 1 and Q(4, 2) == 2
+        assert hash(Q(5)) == hash(5)
+        assert bool(Q(0)) is False and bool(f) is True
 
 
-def test_sorting_and_sets(FastQ):
-    rng = Random(55)
-    raw = [(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(200)]
-    pure_sorted = sorted(PureQ(a, b) for a, b in raw)
-    fast_sorted = sorted(FastQ(a, b) for a, b in raw)
-    assert [str(q) for q in pure_sorted] == [str(q) for q in fast_sorted]
-    assert len({FastQ(1, 2), FastQ(2, 4), FastQ(3, 6)}) == 1
+def test_powers(kernels):
+    for Q in kernels:
+        assert Q(2, 3) ** 3 == Q(8, 27)
+        assert Q(2, 3) ** 0 == Q(1)
+        assert Q(2, 3) ** -2 == Q(9, 4)
+        assert Q(-2, 3) ** -3 == Q(-27, 8)
+        with pytest.raises(ZeroDivisionError):
+            Q(0) ** -1
+        # matches Fraction on a sweep
+        for n in range(-6, 7):
+            assert str(Q(-3, 5) ** n) == str(Fraction(-3, 5) ** n)
+
+
+def test_sorting_and_sets(kernels):
+    for Q in kernels:
+        rng = Random(55)
+        raw = [(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(200)]
+        pure_sorted = sorted(Fraction(a, b) for a, b in raw)
+        fast_sorted = sorted(Q(a, b) for a, b in raw)
+        assert [str(q) for q in pure_sorted] == [str(q) for q in fast_sorted]
+        assert len({Q(1, 2), Q(2, 4), Q(3, 6)}) == 1
 
 
 def test_forced_backend_env():
@@ -157,22 +164,27 @@ def test_cli_bytes_identical_across_backends(speedups, tmp_path):
 
 
 # Builds the bundled streams, their traces and the traces read back under
-# the compiled kernel, then walks every slot, tuple, list and dict they
-# hold: argv[1] is the kernel's file, argv[2] the specs directory.  Prints
-# the number of Q values met, or raises on the first Fraction.
+# one kernel, then walks every slot, tuple, list and dict they hold:
+# argv[1] is the compiled kernel's file ('' for the pure kernel), argv[2]
+# the specs directory.  Prints the number of Q values met, or raises on
+# the first Fraction.
 WALKER = """
 import importlib.util, os, sys
 from fractions import Fraction
-spec = importlib.util.spec_from_file_location(
-    "qshift._qarith._speedups", sys.argv[1])
-module = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(module)
-sys.modules[spec.name] = module
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location(
+        "qshift._qarith._speedups", sys.argv[1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module
 from qshift._qarith import BACKEND, Q
 from qshift.construction import run_shift_construction
 from qshift.serial import (read_json_file, stream_from_obj, trace_from_obj,
                            trace_to_obj)
-assert BACKEND == "speedups" and Q is module.Q
+if sys.argv[1]:
+    assert BACKEND == "speedups" and Q is module.Q
+else:
+    assert BACKEND == "pure"
 
 def walk(x, path):
     if isinstance(x, Fraction):
@@ -199,14 +211,24 @@ print(total)
 """
 
 
-def test_no_fraction_in_compiled_kernel_objects(speedups):
+def _walk(script, backend, path):
     specs = resources.files("qshift").joinpath("specs")
     proc = subprocess.run(
-        [sys.executable, "-c", WALKER, speedups.__file__, str(specs)],
-        env=dict(os.environ, QSHIFT_BACKEND="speedups"),
+        [sys.executable, "-c", script, path, str(specs)],
+        env=dict(os.environ, QSHIFT_BACKEND=backend),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 1000
+    return int(proc.stdout)
+
+
+def test_no_fraction_in_compiled_kernel_objects(speedups):
+    assert _walk(WALKER, "speedups", speedups.__file__) > 1000
+
+
+def test_no_fraction_in_pure_kernel_objects():
+    # a Fraction mixed with a Q raises TypeError; one that is only
+    # stored is found here
+    assert _walk(WALKER, "pure", "") > 1000
 
 
 # The walk above meets a read trace's shifted sets as the parsed JSON they
@@ -224,10 +246,5 @@ print(total)
 
 
 def test_no_fraction_in_decoded_shifted_sets(speedups):
-    specs = resources.files("qshift").joinpath("specs")
-    proc = subprocess.run(
-        [sys.executable, "-c", DECODED_WALKER, speedups.__file__, str(specs)],
-        env=dict(os.environ, QSHIFT_BACKEND="speedups"),
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 100
+    for backend, path in (("pure", ""), ("speedups", speedups.__file__)):
+        assert _walk(DECODED_WALKER, backend, path) > 100

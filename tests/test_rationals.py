@@ -1,4 +1,5 @@
 import math
+import sys
 from random import Random
 
 import pytest
@@ -27,6 +28,21 @@ def test_parse_caps_digits_per_numerator_and_denominator():
     for text in ("9" + top, "-9" + top, "1/9" + top, "0" + top):
         with pytest.raises(ValueError, match="more than 4300 digits"):
             parse_rational(text)
+
+
+def test_format_caps_digits_whatever_the_int_str_limit():
+    # with CPython's own limit off, only rat_str's cap refuses
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        top = 10 ** 4300 - 1
+        for q in (Q(top), Q(-top), Q(-1, top), Q(top, top - 1)):
+            assert parse_rational(rat_str(q)) == q
+        for q in (Q(top + 1), Q(-top - 1), Q(1, top + 1), Q(top + 1, top)):
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                rat_str(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rat_coercions():
