@@ -135,9 +135,10 @@ def prop_group_laws(rng: Random, cases: int) -> Optional[dict]:
         f, g, h, p, q = xs["f"], xs["g"], xs["h"], xs["p"], xs["q"]
         if f.compose(g).compose(h) != f.compose(g.compose(h)):
             return "associativity"
-        if f.compose(f.invert()) != PLMap.identity():
+        f_inv = f.invert()
+        if f.compose(f_inv) != PLMap.identity():
             return "right inverse"
-        if f.invert().compose(f) != PLMap.identity():
+        if f_inv.compose(f) != PLMap.identity():
             return "left inverse"
         if f.compose(PLMap.identity()) != f or PLMap.identity().compose(f) != f:
             return "identity"
@@ -209,9 +210,12 @@ def prop_squeeze(rng: Random, cases: int) -> Optional[dict]:
 
 
 def prop_ndset_equivariance(rng: Random, cases: int) -> Optional[dict]:
-    def bad_contains(xs):
+    def bad_contains(xs, img=None):
+        # img: e.image(f), shared by a case's probes
         f, e, q = xs["f"], xs["e"], xs["q"]
-        return e.image(f).contains(f.apply(q)) != e.contains(q)
+        if img is None:
+            img = e.image(f)
+        return img.contains(f.apply(q)) != e.contains(q)
 
     def bad_functor(xs):
         f, g, e = xs["f"], xs["g"], xs["e"]
@@ -220,9 +224,10 @@ def prop_ndset_equivariance(rng: Random, cases: int) -> Optional[dict]:
     for _ in range(cases):
         f, g, e = rng_plmap(rng), rng_plmap(rng), rng_ndset(rng)
         probes = [rng_rational(rng)] + list(sample_points(e, 3))
+        img = e.image(f)
         for q in probes:
             xs = {"f": f, "e": e, "q": q}
-            if bad_contains(xs):
+            if bad_contains(xs, img):
                 return _fail_case("membership equivariance", xs, bad_contains)
         xs = {"f": f, "g": g, "e": e}
         if bad_functor(xs):
@@ -267,13 +272,14 @@ def prop_closure_coherence(rng: Random, cases: int) -> Optional[dict]:
     for _ in range(cases):
         e, f_set = rng_ndset(rng), rng_ndset(rng)
         u = e.union(f_set)
-        for q in sample_points(e, 4) + e.limits:
+        probes = sample_points(e, 4) + e.limits
+        for q in probes:
             if not u.closure_contains(q):
                 return _counterexample("closure monotone under union",
                                        {"e": e, "f": f_set, "q": q})
         m = rng_plmap(rng)
         img = e.image(m)
-        for q in sample_points(e, 4) + e.limits:
+        for q in probes:
             if not img.closure_contains(m.apply(q)):
                 return _counterexample(
                     "closure of image contains image of closure",
@@ -299,17 +305,19 @@ def prop_hfa_action(rng: Random, cases: int) -> Optional[dict]:
 
 
 def prop_hfa_support(rng: Random, cases: int) -> Optional[dict]:
-    def bad_equiv(xs):
+    def bad_equiv(xs, support=None):
         f, x = xs["f"], xs["x"]
-        return atoms_support(act(f, x)) != atoms_support(x).image(f)
+        if support is None:
+            support = atoms_support(x)
+        return atoms_support(act(f, x)) != support.image(f)
 
     for _ in range(cases):
         x = rng_hfa(rng)
         f = rng_plmap(rng)
         xs = {"f": f, "x": x}
-        if bad_equiv(xs):
-            return _fail_case("support equivariance", xs, bad_equiv)
         support = atoms_support(x)
+        if bad_equiv(xs, support):
+            return _fail_case("support equivariance", xs, bad_equiv)
         for g in fix_members(support, rng, 2):
             if not in_sym(g, x):
                 return _counterexample(
@@ -358,19 +366,23 @@ def prop_subgroup_normalize(rng: Random, cases: int) -> Optional[dict]:
 
 
 def prop_subgroup_conj_routes(rng: Random, cases: int) -> Optional[dict]:
-    def bad(xs):
+    def bad(xs, img=None):
+        # img: e.image(p), shared by a case's probes
         p, e, f = xs["p"], xs["e"], xs["f"]
+        if img is None:
+            img = e.image(p)
         via_def = member(Conj(p, Fix(e)), f)
-        via_fix = fix_violation(f, e.image(p)) is None
+        via_fix = fix_violation(f, img) is None
         return via_def != via_fix
 
     for _ in range(cases):
         e = rng_ndset(rng, max_points=2, max_tails=1)
         p = rng_plmap(rng)
-        probes = [rng_plmap(rng)] + fix_members(e.image(p), rng, 1)
+        img = e.image(p)
+        probes = [rng_plmap(rng)] + fix_members(img, rng, 1)
         for f in probes:
             xs = {"p": p, "e": e, "f": f}
-            if bad(xs):
+            if bad(xs, img):
                 return _fail_case("conjugate membership two routes", xs, bad)
     return None
 

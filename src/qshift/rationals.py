@@ -14,7 +14,8 @@ from ._qarith import BACKEND, Q
 
 RatLike = Union["Q", int, str]
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII digits only: int() would read other scripts' digits too
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 # digits allowed in a numerator or denominator, read or written: CPython's
 # default limit on int <-> str conversion, checked here so that the cap

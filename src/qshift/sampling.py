@@ -7,21 +7,35 @@ suites, CLI property runs, the sampled fallback of ``candidate-leq``).
 
 from __future__ import annotations
 
+from functools import cache
 from random import Random
 from typing import List, Tuple
 
 from .hfa import Atom, HFAValue, SeqNode, SetNode
 from .ndsets import GeomTail, NDSet
-from .plmaps import PLMap
+from .plmaps import PLMap, _canonicalize
 from .rationals import Interval, Q
+
+_ONE = Q(1)
+
+
+@cache
+def _grid(span: int) -> Tuple[Tuple[Q, ...], ...]:
+    """``Q(n, d)`` at row ``n + span``, column ``d - 1``, for
+    ``-span <= n <= span`` and ``1 <= d <= span``; built once per span."""
+    return tuple(tuple(Q(n, d) for d in range(1, span + 1))
+                 for n in range(-span, span + 1))
 
 
 def rng_rational(rng: Random, span: int = 12) -> Q:
-    return Q(rng.randint(-span, span), rng.randint(1, span))
+    # randint(a, b) draws a + randrange(b - a + 1): this returns
+    # Q(randint(-span, span), randint(1, span)) from the same draws, and
+    # rng_positive_rational Q(randint(1, span), randint(1, span))
+    return _grid(span)[rng.randrange(2 * span + 1)][rng.randrange(span)]
 
 
 def rng_positive_rational(rng: Random, span: int = 8) -> Q:
-    return Q(rng.randint(1, span), rng.randint(1, span))
+    return _grid(span)[span + 1 + rng.randrange(span)][rng.randrange(span)]
 
 
 def rng_distinct_rationals(rng: Random, count: int, span: int = 12) -> List[Q]:
@@ -32,13 +46,18 @@ def rng_distinct_rationals(rng: Random, count: int, span: int = 12) -> List[Q]:
 
 
 def rng_plmap(rng: Random, max_breaks: int = 4) -> PLMap:
+    # built unchecked: sorted distinct inputs and outputs increase together,
+    # and the slopes drawn are positive
     k = rng.randint(0, max_breaks)
     if k == 0:
-        return PLMap.affine(rng_positive_rational(rng), rng_rational(rng))
+        slope = rng_positive_rational(rng)
+        return PLMap._trusted(*_canonicalize(((Q(0), rng_rational(rng)),),
+                                             slope, slope))
     xs = rng_distinct_rationals(rng, k)
     ys = rng_distinct_rationals(rng, k)
-    return PLMap(tuple(zip(xs, ys)),
-                 rng_positive_rational(rng), rng_positive_rational(rng))
+    return PLMap._trusted(*_canonicalize(
+        tuple(zip(xs, ys)),
+        rng_positive_rational(rng), rng_positive_rational(rng)))
 
 
 def rng_interval(rng: Random, span: int = 12) -> Interval:
@@ -89,7 +108,9 @@ def bump_in_gap(gap: Interval, rng: Random) -> PLMap:
     v = Q(rng.randint(1, 7), 8)
     while v == u:
         v = Q(rng.randint(1, 7), 8)
-    return PLMap(((a, a), (a + u * w, a + v * w), (b, b)))
+    # 0 < u, v < 1: the breakpoints increase in both coordinates
+    return PLMap._trusted(*_canonicalize(
+        ((a, a), (a + u * w, a + v * w), (b, b)), _ONE, _ONE))
 
 
 def fix_members(support: NDSet, rng: Random, count: int) -> List[PLMap]:

@@ -144,6 +144,18 @@ def ndset_from_obj(o: Any) -> NDSet:
 
 # -- nested values -------------------------------------------------------------
 
+# levels of nesting read in a value or in a subgroup term: everything that
+# walks them recurses once per level, so deeper input is refused here
+_MAX_NESTING = 100
+
+
+def _nested(depth: int, what: str) -> int:
+    if depth >= _MAX_NESTING:
+        raise _fail(f"malformed {what}: nested more than {_MAX_NESTING} "
+                    "levels deep")
+    return depth + 1
+
+
 def hfa_to_obj(x: HFAValue) -> dict:
     if isinstance(x, Atom):
         return {"atom": rat_str(x.value)}
@@ -154,7 +166,7 @@ def hfa_to_obj(x: HFAValue) -> dict:
     raise _fail(f"not an HFA value: {type(x).__name__}")
 
 
-def hfa_from_obj(o: Any) -> HFAValue:
+def hfa_from_obj(o: Any, depth: int = 0) -> HFAValue:
     if not isinstance(o, dict) or len(o) != 1:
         raise _fail("malformed value: expected one of atom/set/seq")
     if "atom" in o:
@@ -162,11 +174,13 @@ def hfa_from_obj(o: Any) -> HFAValue:
     if "set" in o:
         if not isinstance(o["set"], list):
             raise _fail("malformed value: set must hold a list")
-        return SetNode(hfa_from_obj(e) for e in o["set"])
+        depth = _nested(depth, "value")
+        return SetNode(hfa_from_obj(e, depth) for e in o["set"])
     if "seq" in o:
         if not isinstance(o["seq"], list):
             raise _fail("malformed value: seq must hold a list")
-        return SeqNode(hfa_from_obj(e) for e in o["seq"])
+        depth = _nested(depth, "value")
+        return SeqNode(hfa_from_obj(e, depth) for e in o["seq"])
     raise _fail("malformed value: expected one of atom/set/seq")
 
 
@@ -186,7 +200,7 @@ def term_to_obj(t: SubgroupTerm) -> Any:
     raise _fail(f"not a subgroup term: {type(t).__name__}")
 
 
-def term_from_obj(o: Any) -> SubgroupTerm:
+def term_from_obj(o: Any, depth: int = 0) -> SubgroupTerm:
     if o == "full":
         return FULL_GROUP
     if not isinstance(o, dict) or len(o) != 1:
@@ -198,11 +212,13 @@ def term_from_obj(o: Any) -> SubgroupTerm:
     if "conj" in o:
         _need(o["conj"], ("by", "inner"), "conjugate")
         return Conj(plmap_from_obj(o["conj"]["by"]),
-                    term_from_obj(o["conj"]["inner"]))
+                    term_from_obj(o["conj"]["inner"],
+                                  _nested(depth, "subgroup term")))
     if "inter" in o:
         if not isinstance(o["inter"], list):
             raise _fail("malformed subgroup term: inter must hold a list")
-        return Inter([term_from_obj(p) for p in o["inter"]])
+        depth = _nested(depth, "subgroup term")
+        return Inter([term_from_obj(p, depth) for p in o["inter"]])
     raise _fail("malformed subgroup term")
 
 
@@ -372,9 +388,10 @@ def read_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON, undecodable bytes and integer
-        # literals over Python's int conversion limit
+        # literals over Python's int conversion limit; RecursionError,
+        # arrays or objects nested deeper than the decoder recurses
         raise _fail(f"cannot read {path}: {exc}") from exc
 
 

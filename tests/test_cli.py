@@ -379,6 +379,129 @@ def test_checks_stdout_bytes_pinned(tmp_path, capsys):
             argv
 
 
+# sha256 of props stdout for more (seed, cases) pairs: the samplers must
+# draw the same values, and each suite must test the same laws in order
+PROPS_STDOUT_SHA256 = {
+    (1, 50): "e4d023ae5ec9619c7b134b31d0db714678252f3e087ac7e1feacef6b611ab416",
+    (2, 50): "8dc69e3b9193ad232d2f7eeab9834de798ec7ad038bfe5be7e3282358d021455",
+    (7, 50): "160a1ab4feb9f2a974f128cf5de362fdbb3c361522c6d6813bc08c38c93dad46",
+    (11, 50): "fdebeed9bf213672c7f4ca3daa61ed5b0d7c2074df9ac8f65ef95a09d3efef89",
+    (12345, 50):
+        "5f33c3af5a67b591ff3379b15c5f27ccebdaf27baa7cc4f48c7d8a03670ed66b",
+    (9, 13): "deb0a72a417cc17c95ce6ce09462a7cfcf4fa6db59bf735fa5d70547f56b8f3a",
+    (0, 1): "9c1ff3c07a8f2e78f54f81ddce9e60580302b443984bac4b887864d3f99338e1",
+    (3, 200): "508edcf2bf775f27402b5308a2b6592ea186438587d641c2a138fd05dbf60c29",
+}
+
+
+def test_props_stdout_bytes_pinned(capsys):
+    for (seed, cases), digest in PROPS_STDOUT_SHA256.items():
+        assert run_cli("props", "--seed", str(seed), "--cases",
+                       str(cases)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+_IMAGE, _INVERT = NDSet.image, PLMap.invert
+
+
+def _lossy_image(self, f):
+    # drops the last point of every image with two points or more
+    img = _IMAGE(self, f)
+    return img if len(img.points) < 2 else NDSet(img.points[:-1], img.tails)
+
+
+def _lossy_invert(self):
+    # returns a map with three breakpoints or more unchanged
+    return self if len(self.breakpoints) > 2 else _INVERT(self)
+
+
+# props stdout with a law broken on purpose: every failing suite's shrunk
+# counterexample bytes.  The broken image fails ndset-equivariance,
+# closure-coherence, hfa-support-sufficiency, subgroup-conj-routes and
+# construction-roundtrip; the broken inverse fails group-laws and
+# subgroup-conj-routes
+BROKEN_PROPS_STDOUT_SHA256 = [
+    (NDSet, "image", _lossy_image,
+     "81e50a7d143e3d43510a73e7d06e03bb8402fc44800ce893542ad8a778c4e888"),
+    (PLMap, "invert", _lossy_invert,
+     "9cf88687c4005673c414f81e3bffb2d7599018b11f8915daa9d1e3d23996fc6f"),
+]
+
+
+def test_props_counterexamples_pinned(monkeypatch, capsys):
+    for cls, attr, broken, digest in BROKEN_PROPS_STDOUT_SHA256:
+        monkeypatch.setattr(cls, attr, broken)
+        assert run_cli("props", "--seed", "0", "--cases", "50") == 1
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, attr
+
+
+def _nested(inner, depth, wrap):
+    for _ in range(depth):
+        inner = wrap(inner)
+    return inner
+
+
+def test_deeply_nested_input_is_input_error(tmp_path):
+    identity = {"breakpoints": [["0", "0"]], "leftSlope": "1",
+                "rightSlope": "1"}
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    deep_value = dict(blob, x=[_nested({"atom": "0"}, 300,
+                                       lambda v: {"set": [v]})] + blob["x"])
+    deep_term = dict(blob, H=blob["H"][:1] + [_nested(
+        blob["H"][1], 300,
+        lambda t: {"conj": {"by": identity, "inner": t}})] + blob["H"][2:])
+    for name, inst, needle in (
+            ("value", deep_value, "malformed value: nested more than 100"),
+            ("term", deep_term, "malformed subgroup term: nested more than")):
+        path = tmp_path / f"deep_{name}.json"
+        path.write_text(json.dumps(inst))
+        _assert_input_error(_cli("theorem", "--stream", str(path)), needle)
+    # a stream spec deeper than the JSON decoder recurses
+    stream = tmp_path / "deep_stream.json"
+    stream.write_text('{"increments": ' + "[" * 2000 + "]" * 2000 + "}")
+    _assert_input_error(
+        _cli("construct", "--stream", str(stream), "--steps", "1",
+             "--out", str(tmp_path / "trace.json")),
+        "maximum recursion depth exceeded")
+
+
+def test_nesting_up_to_the_limit_is_read(tmp_path, capsys):
+    identity = {"breakpoints": [["0", "0"]], "leftSlope": "1",
+                "rightSlope": "1"}
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    # H_1 still Fix({0}), H_2 and H_3 both Fix({0, 1, 2}), after 100
+    # levels of nesting
+    base = blob["H"][3]
+    blob["H"][1] = {"stab": _nested({"atom": "0"}, 100,
+                                    lambda v: {"seq": [v]})}
+    blob["H"][2] = _nested(base, 100, lambda t: {"inter": [t]})
+    blob["H"][3] = _nested(base, 100,
+                           lambda t: {"conj": {"by": identity, "inner": t}})
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(blob))
+    assert run_cli("theorem", "--stream", str(path)) == 0
+    capsys.readouterr()
+    for n, deeper in ((1, {"stab": {"set": [blob["H"][1]["stab"]]}}),
+                      (3, {"inter": [blob["H"][3]]})):
+        path.write_text(json.dumps(dict(
+            blob, H=blob["H"][:n] + [deeper] + blob["H"][n + 1:])))
+        assert run_cli("theorem", "--stream", str(path)) == 2, n
+        assert "nested more than 100 levels" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_are_input_error(tmp_path):
+    stream = tmp_path / "digits.json"
+    stream.write_text(json.dumps(
+        {"increments": [{"points": ["\u0661/\u0663"], "tails": []}]}))
+    out = tmp_path / "trace.json"
+    _assert_input_error(_cli("construct", "--stream", str(stream), "--steps",
+                             "1", "--out", str(out)), "not a rational literal")
+    assert not out.exists()
+
+
 def test_construct_prints_only_its_failed_checks_to_stderr(
         monkeypatch, tmp_path, capsys):
     build = cli.run_shift_construction

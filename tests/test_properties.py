@@ -91,3 +91,24 @@ def test_counterexample_records_keep_their_shape(monkeypatch):
         got = PROPERTIES[name](Random(f"0:{name}"), 1)
         monkeypatch.undo()
         assert json.dumps(got) == json.dumps(want), name
+
+
+def _image_calls(monkeypatch, name, cases):
+    calls = []
+    image = NDSet.image
+
+    def counted(self, f):
+        calls.append(1)
+        return image(self, f)
+
+    monkeypatch.setattr(NDSet, "image", counted)
+    assert PROPERTIES[name](Random(f"0:{name}"), cases) is None
+    return len(calls)
+
+
+def test_each_case_images_its_shared_sets_once(monkeypatch):
+    # ndset-equivariance: e.image(f) for every probe, then e.image(f o g),
+    # e.image(g) and its image under f; subgroup-conj-routes: e.image(p)
+    # for the Fix members and every probe
+    assert _image_calls(monkeypatch, "ndset-equivariance", 30) == 4 * 30
+    assert _image_calls(monkeypatch, "subgroup-conj-routes", 30) == 30

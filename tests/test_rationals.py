@@ -21,6 +21,15 @@ def test_parse_rejects_garbage():
             parse_rational(text)
 
 
+def test_parse_reads_ascii_digits_only():
+    # Arabic-Indic, Devanagari and fullwidth digits are Unicode \\d, and
+    # int() reads them
+    for text in ["\u0661/\u0663", "\u0663", "-\u0967", "\uff11/\uff12",
+                 "1/\u0663", "\u0661/3"]:
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(text)
+
+
 def test_parse_caps_digits_per_numerator_and_denominator():
     top = "9" * 4300
     for text in (top, "-" + top, "+" + top, f"{top}/{top}", " 1/" + top):
