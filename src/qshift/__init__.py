@@ -8,9 +8,9 @@ from .construction import (EStream, EvacuationError, ShiftTrace,
                            run_shift_construction, verify_shift_trace,
                            witness_subgroup)
 from .hfa import Atom, SeqNode, SetNode, act, atom_seq, atoms_support, in_sym
-from .ndsets import EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict, ndset_points
+from .ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from .plmaps import PLMap, squeeze_map
-from .rationals import Interval, rat, rat_str
+from .rationals import Interval, LimitError, rat, rat_str
 from .reporting import Check, Report
 from .subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
                         ShiftProblem, Stab, check_shift_witness, fix_leq,
@@ -22,9 +22,9 @@ from .theorem import (BranchCertificate, CertificateError, TreeInstance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "Q", "Interval", "rat", "rat_str",
+    "BACKEND", "Q", "Interval", "LimitError", "rat", "rat_str",
     "PLMap", "squeeze_map",
-    "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points", "SubsetVerdict",
+    "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points",
     "Atom", "SetNode", "SeqNode", "atom_seq", "act", "atoms_support", "in_sym",
     "FULL_GROUP", "Fix", "Stab", "Conj", "Inter", "member", "normalize",
     "fix_leq", "FilterDescriptor", "ShiftProblem", "check_shift_witness",

@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a semantic check failed (or the
 recursion found no map evacuating a gap), 2 unreadable or ill-formed
-input.  Reports are JSON lines; identical configurations produce
-byte-identical files and output.
+input, or a query past an explicit size limit.  Reports are JSON lines;
+identical configurations produce byte-identical files and output.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from importlib import resources
 from typing import Optional
@@ -27,6 +28,7 @@ from typing import Optional
 from .construction import (EvacuationError, run_shift_construction,
                            verify_shift_trace)
 from .properties import run_properties
+from .rationals import LimitError
 from .reporting import Report, write_rows
 from .serial import (SerializationError, canon_dumps, instance_from_obj,
                      read_json_file, stream_from_obj, stream_hash,
@@ -124,9 +126,17 @@ def cmd_props(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def integer(text: str) -> int:
+    """argparse type for an integer: ASCII digits after an optional minus
+    (int() would also take other scripts' digits, underscores, spaces)."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def nonnegative(text: str) -> int:
-    """argparse type for a nonnegative integer."""
-    value = int(text)
+    """argparse type for a nonnegative integer in ASCII digits."""
+    value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
     return value
@@ -163,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True,
                    help="instance JSON file (bundled name or path)")
     # accepted for compatibility; every theorem check is exact
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0,
                    help="ignored: does not change the output")
     p.add_argument("--cases", type=nonnegative, default=100,
                    help="ignored: does not change the output")
 
     p = sub.add_parser("props", help="run the property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--cases", type=nonnegative, default=200)
 
     return parser
@@ -182,6 +192,9 @@ def main(argv: Optional[list] = None) -> int:
         return globals()["cmd_" + args.command](args)
     except SerializationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except LimitError as exc:
+        print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)

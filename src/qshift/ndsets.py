@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .plmaps import PLMap
-from .rationals import Interval, Q, rat, rat_str, simplest_between
+from .rationals import (Interval, LimitError, Q, rat, rat_str,
+                        simplest_between)
+
+
+# _min_pow_lt raises LimitError rather than search past this exponent
+_MAX_EXPONENT = 1 << 40
 
 
 def _min_pow_lt(r: Q, bound: Q, strict: bool = True) -> Optional[int]:
@@ -31,9 +35,9 @@ def _min_pow_lt(r: Q, bound: Q, strict: bool = True) -> Optional[int]:
     # exponential then binary search on the exponent
     hi = 1
     while not ((r ** hi < bound) if strict else (r ** hi <= bound)):
+        if hi >= _MAX_EXPONENT:
+            raise LimitError(f"power search past exponent {_MAX_EXPONENT}")
         hi *= 2
-        if hi > 1 << 40:
-            raise OverflowError("power search exponent out of range")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -61,6 +65,24 @@ def _exact_log(r: Q, t: Q) -> Optional[int]:
         return None if e is None else -e
     d = _pow_matching_denominator(r.denominator, t.denominator)
     return d if d is not None and r ** d == t else None
+
+
+def _common_root(u: Q, v: Q) -> Optional[Q]:
+    """A rational of which u and v in (0, 1) are both powers, or None when
+    they are multiplicatively independent.
+
+    Euclid's algorithm on the exponents of a shared root, run as exact
+    division by the ratio with the smaller denominator: while u and v
+    are powers of one root, numerators and denominators divide.
+    """
+    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+    while ud != vd:
+        if ud < vd:
+            un, ud, vn, vd = vn, vd, un, ud
+        if un % vn or ud % vd:
+            return None
+        un, ud = un // vn, ud // vd
+    return Q(un, ud) if un == vn else None
 
 
 class GeomTail:
@@ -199,25 +221,6 @@ def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
     return None
 
 
-class SubsetVerdict(Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
-class SubsetResult:
-    __slots__ = ("verdict", "witness")
-
-    def __init__(self, verdict: SubsetVerdict, witness: Optional[Q] = None):
-        self.verdict = verdict
-        self.witness = witness
-
-    def __repr__(self):
-        w = f", witness={rat_str(self.witness)}" if self.witness is not None else ""
-        return f"SubsetResult({self.verdict.value}{w})"
-
-
-_AP_SCAN_LIMIT = 64
 _AP_MODULUS_CAP = 1 << 20
 _HEAD_CAP = 5000
 
@@ -499,90 +502,83 @@ class NDSet:
 
     # -- subset of closure ------------------------------------------------
 
-    def _tail_cover_aps(self, t: GeomTail) -> List[Tuple[int, int]]:
-        """Arithmetic progressions of exponents k whose terms land in this
-        set's tails (start, step): {start + step*j : j >= 0}."""
-        out: List[Tuple[int, int]] = []
-        for s in self.tails:
-            if s.limit != t.limit:
-                continue
-            if (s.coeff > 0) != (t.coeff > 0):
-                continue
-            ratio_quot = t.coeff / s.coeff
-            d = _exact_log(s.ratio, t.ratio)
-            if d is not None:
-                # t.ratio == s.ratio**d: term k of t is term d*k + e of s,
-                # which exists once d*k + e >= 0
-                e = _exact_log(s.ratio, ratio_quot)
-                if e is not None:
-                    out.append((max(0, -(e // d)), 1))
-                continue
-            m = _exact_log(t.ratio, s.ratio)
-            if m is not None:
-                # s.ratio == t.ratio**m: covered k are m*j - e for j >= 0
-                e = _exact_log(t.ratio, ratio_quot)
-                if e is not None:
-                    out.append((-e if e <= 0 else -e % m, m))
-        return out
+    def _tail_cover_aps(self, t: GeomTail
+                        ) -> Tuple[List[Tuple[int, int]], int]:
+        """Progressions (start, step), each {start + step*j : j >= 0}, of
+        the exponents k whose term of t is a term of one of this set's
+        tails; and how many tails beside t share at most one term with it.
 
-    def _tail_subset_of_closure(self, t: GeomTail) -> SubsetResult:
-        aps = self._tail_cover_aps(t)
-        full = [ap for ap in aps if ap[1] == 1]
-        if full:
-            head = min(ap[0] for ap in full)
-        else:
-            head = None
-            if aps:
-                modulus = 1
-                for _, step in aps:
-                    modulus = modulus * step // math.gcd(modulus, step)
-                    if modulus > _AP_MODULUS_CAP:
-                        modulus = None
-                        break
-                if modulus is not None:
-                    residues = set()
-                    for start, step in aps:
-                        residues.update((start + step * i) % modulus
-                                        for i in range(modulus // step))
-                    if len(residues) == modulus:
-                        head = max(start for start, _ in aps) + modulus
-        if head is not None:
-            if head > _HEAD_CAP:
-                return SubsetResult(SubsetVerdict.UNKNOWN)
-            for k in range(head):
-                if not self.closure_contains(t.term(k)):
-                    return SubsetResult(SubsetVerdict.NO, t.term(k))
-            return SubsetResult(SubsetVerdict.YES)
-        # no covering family: hunt for an explicit escaped term
-        covered = lambda k: any(k >= s and (k - s) % m == 0 for s, m in aps)
-        tried = 0
-        k = 0
-        while tried < _AP_SCAN_LIMIT:
-            if not covered(k):
-                if not self.closure_contains(t.term(k)):
-                    return SubsetResult(SubsetVerdict.NO, t.term(k))
-                tried += 1
-            k += 1
-        return SubsetResult(SubsetVerdict.UNKNOWN)
-
-    def subset_of_closure(self, other: "NDSet") -> SubsetResult:
-        """Whether every member of self lies in the closure of other.
-
-        NO always carries a witness point of self outside the closure;
-        UNKNOWN can only arise from tail-against-tail comparisons the
-        exponent analysis cannot settle.
+        With t.ratio = rho**a and s.ratio = rho**b for a common root rho
+        with gcd(a, b) = 1, term k of t is term j of s iff t.coeff/s.coeff
+        = rho**e and b*j = a*k + e with j >= 0: step b.  Ratios without a
+        common root are independent: two common terms k != k' would make
+        t.ratio**(k - k') a power of s.ratio.
         """
+        aps: List[Tuple[int, int]] = []
+        independent = 0
+        for s in self.tails:
+            if s.limit != t.limit or (s.coeff > 0) != (t.coeff > 0):
+                continue
+            rho = _common_root(t.ratio, s.ratio)
+            if rho is None:
+                independent += 1
+                continue
+            a, b = _exact_log(rho, t.ratio), _exact_log(rho, s.ratio)
+            e = _exact_log(rho, t.coeff / s.coeff)
+            if e is None:
+                continue
+            # a*k + e == 0 (mod b) fixes k mod b; j >= 0 is k >= -e/a
+            residue = -e * pow(a, -1, b) % b
+            low = max(0, -(e // a))
+            aps.append((low + (residue - low) % b, b))
+        return aps, independent
+
+    def _tail_escape(self, t: GeomTail) -> Optional[Q]:
+        """The term of t of least exponent off this set's closure, or None.
+
+        Past the largest start of the progressions, whether they cover k
+        depends on k mod their period.  If they cover every residue, only
+        the exponents below that start need a closure test.  Else a term
+        escapes: past the head K0, where t's terms come nearer its limit
+        than every closure point but the limit and the terms of tails
+        with that limit, only those tails hold terms of t, an independent
+        one at most one.  So one of the first ``independent + 1`` exponents
+        past K0 in an uncovered residue class escapes.  The scan stops
+        there with ``_HEAD_CAP`` for K0; finding none proves K0 past it.
+        """
+        aps, independent = self._tail_cover_aps(t)
+        start = max((s for s, _ in aps), default=0)
+        period = math.lcm(*(step for _, step in aps))
+        if period > _AP_MODULUS_CAP:
+            raise LimitError(f"tails cover the terms of a tail with period "
+                             f"{period}, past {_AP_MODULUS_CAP}")
+        covered = {k % period for s, step in aps
+                   for k in range(s, s + period, step)}
+        full = len(covered) == period
+        end = start if full else (max(start, _HEAD_CAP)
+                                  + period * (independent + 1))
+        for k in range(end):
+            if not any(k >= s and (k - s) % step == 0 for s, step in aps):
+                term = t.term(k)
+                if not self.closure_contains(term):
+                    return term
+        if full:
+            return None
+        raise LimitError(f"a closure crowds the limit of a tail it does not "
+                         f"contain for more than {_HEAD_CAP} terms")
+
+    def subset_of_closure(self, other: "NDSet") -> Optional[Q]:
+        """A member of self off the closure of other, or None: the least
+        such point, else the first escaping term of the first tail with
+        one.  Raises ``LimitError`` past the caps of ``_tail_escape``."""
         for p in self.points:
             if not other.closure_contains(p):
-                return SubsetResult(SubsetVerdict.NO, p)
-        unknown = False
+                return p
         for t in self.tails:
-            res = other._tail_subset_of_closure(t)
-            if res.verdict is SubsetVerdict.NO:
-                return res
-            if res.verdict is SubsetVerdict.UNKNOWN:
-                unknown = True
-        return SubsetResult(SubsetVerdict.UNKNOWN if unknown else SubsetVerdict.YES)
+            w = other._tail_escape(t)
+            if w is not None:
+                return w
+        return None
 
 
 EMPTY_NDSET = NDSet()
@@ -594,5 +590,5 @@ def ndset_points(*values) -> NDSet:
 
 __all__ = [
     "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points",
-    "SubsetResult", "SubsetVerdict", "tail_final_piece", "fix_violation",
+    "tail_final_piece", "fix_violation",
 ]

@@ -23,6 +23,10 @@ _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 _MAX_DIGITS = 4300
 
 
+class LimitError(ValueError):
+    """A query whose exact answer lies past an explicit size limit."""
+
+
 def rat(value: RatLike) -> Q:
     """Coerce an int, a 'p/q' string, or a Q into a Q."""
     if isinstance(value, Q):
@@ -188,6 +192,6 @@ class Interval:
 
 
 __all__ = [
-    "BACKEND", "Q", "Interval", "rat", "parse_rational", "rat_str",
-    "floor_rat", "ceil_rat", "simplest_between",
+    "BACKEND", "Q", "Interval", "LimitError", "rat", "parse_rational",
+    "rat_str", "floor_rat", "ceil_rat", "simplest_between",
 ]

@@ -1,17 +1,18 @@
 """Pass/fail reports shared by the verifiers, and their JSON lines.
 
-A ``Report`` keeps each check as a plain row ``(name, ok, index, mode,
+A ``Report`` keeps each check as a plain row ``(name, ok, index,
 detail)`` beside a count of the failed ones, so adding a check costs one
 tuple and ``passed`` one comparison.  ``checks`` and ``failures`` build
 ``Check`` objects only when they are read.
 
 ``write_rows`` prints rows as JSON lines from one template, in the
 canonical form ``serial.canon_dumps`` gives the dict
-``{"check", "ok", "mode", "n"?, "detail"?}``: keys sorted (``check``,
-``detail``, ``mode``, ``n``, ``ok``), compact separators, and strings
-escaped by ``json.encoder.encode_basestring_ascii``, the escaping the
-canonical encoder applies.  So the bytes are those of encoding each
-row's dict, without building the dict.
+``{"check", "ok", "mode": "exact", "n"?, "detail"?}``: keys sorted
+(``check``, ``detail``, ``mode``, ``n``, ``ok``), compact separators, and
+strings escaped by ``json.encoder.encode_basestring_ascii``, the escaping
+the canonical encoder applies.  So the bytes are those of encoding each
+row's dict, without building the dict.  Every check is exact; the
+``mode`` field only keeps the line format stable.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, List, Optional, TextIO, Tuple
 
-# (name, ok, index, mode, detail)
-Row = Tuple[str, bool, Optional[int], str, str]
+# (name, ok, index, detail)
+Row = Tuple[str, bool, Optional[int], str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +31,6 @@ class Check:
     name: str
     ok: bool
     index: Optional[int] = None
-    mode: str = "exact"  # "exact" or "sampled"
     detail: str = ""
 
 
@@ -42,9 +42,9 @@ class Report:
         self.failed = 0
 
     def add(self, name: str, ok: bool, index: Optional[int] = None,
-            mode: str = "exact", detail: str = "") -> bool:
+            detail: str = "") -> bool:
         ok = bool(ok)
-        self.rows.append((name, ok, index, mode, detail))
+        self.rows.append((name, ok, index, detail))
         if not ok:
             self.failed += 1
         return ok
@@ -69,7 +69,7 @@ class Report:
         if not self.failed:
             return f"all {len(self.rows)} checks passed"
         bad = (name if index is None else f"{name}[{index}]"
-               for name, ok, index, _, _ in self.rows if not ok)
+               for name, ok, index, _ in self.rows if not ok)
         return (f"{self.failed} of {len(self.rows)} checks failed: "
                 + ", ".join(islice(bad, 5)))
 
@@ -85,20 +85,20 @@ def write_rows(rows: Iterable[Row], stream: TextIO) -> None:
     """Write each row to ``stream`` as its canonical JSON line.
 
     Lines go out in writes of at most ``_LINES_PER_WRITE``, so the whole
-    report is never one string.  The encoded head of a line (name, detail
-    and mode) is kept for the rest of the call: a verifier family repeats
-    a few heads many times.
+    report is never one string.  The encoded head of a line (name and
+    detail) is kept for the rest of the call: a verifier family repeats a
+    few heads many times.
     """
     heads = {}
     lines = []
-    for name, ok, index, mode, detail in rows:
-        head = heads.get((name, mode, detail))
+    for name, ok, index, detail in rows:
+        head = heads.get((name, detail))
         if head is None:
             head = '{"check":' + encode_basestring_ascii(name)
             if detail:
                 head += ',"detail":' + encode_basestring_ascii(detail)
-            head += ',"mode":' + encode_basestring_ascii(mode)
-            heads[name, mode, detail] = head
+            head += ',"mode":"exact"'
+            heads[name, detail] = head
         if index is None:
             lines.append(head + _OK_TAIL[ok])
         else:

@@ -2,7 +2,7 @@
 
 All sampling flows through random.Random instances supplied by the
 caller, so identical seeds give identical corpora everywhere (test
-suites, CLI property runs, the sampled fallback of ``candidate-leq``).
+suites, CLI property runs); the certificate checks never sample.
 """
 
 from __future__ import annotations

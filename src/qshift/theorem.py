@@ -22,8 +22,7 @@ from .plmaps import PLMap
 from .rationals import Q
 from .reporting import Report
 from .subgroups import (Conj, Fix, Inter, Stab, SubgroupTerm, add_fix_leq,
-                        check_decreasing, fix_leq, member, normalize,
-                        shifted_groups)
+                        check_decreasing, member, normalize, shifted_groups)
 
 
 class CertificateError(ValueError):
@@ -248,10 +247,9 @@ def shifts_from_branch(inst: TreeInstance, cert: BranchCertificate,
     branch_prefix = SeqNode(cert.t)
     k_top = normalize(Inter([Stab(branch_prefix), ks[0]]))
     gen_support = inst.base_support.union(atoms_support(branch_prefix))
-    add_fix_leq(report, "claim2-generators",
-                fix_leq(gen_support, k_top.support))
+    add_fix_leq(report, "claim2-generators", gen_support, k_top.support)
     for n, k in enumerate(ks):
-        add_fix_leq(report, "claim2", fix_leq(gen_support, k.support), n)
+        add_fix_leq(report, "claim2", gen_support, k.support, n)
     return pis, ks, report
 
 

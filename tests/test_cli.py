@@ -293,6 +293,92 @@ def test_theorem_flags_a_stab_group_above_its_predecessor(tmp_path):
                           "mode": "exact", "n": 0, "ok": False}], seed
 
 
+def _tail(coeff, ratio):
+    return {"limit": "0", "coeff": coeff, "ratio": ratio, "headDrop": 0}
+
+
+def _theorem_with_groups(tmp_path, name, supports):
+    """theorem_identity.json with H[n] = Fix(supports[n]) for each given n."""
+    blob = json.loads((SPECS / "theorem_identity.json").read_text())
+    for n, (points, tails) in enumerate(supports):
+        blob["H"][n] = {"fix": {"points": points, "tails": tails}}
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def test_theorem_decides_containment_across_power_ratio_tails(tmp_path):
+    # every 8^-k is a term of 4^-j or of (1/2) * 4^-j, although neither
+    # 1/8 nor 1/4 is a power of the other, so the chain decreases
+    quarters = [_tail("1", "1/4"), _tail("1/2", "1/4")]
+    path = _theorem_with_groups(tmp_path, "eighths.json", [
+        (["0"], [_tail("1", "1/8")]), (["0"], quarters),
+        (["0", "2"], quarters), (["0", "2", "3"], quarters)])
+    proc = _cli("theorem", "--stream", str(path))
+    assert proc.returncode == 1, proc.stderr
+    # claim 2 fails for real: the branch's atoms 1 and 4 are not fixed
+    assert json.loads(proc.stderr) == {"failedClaim": "claim2", "n": 1}
+    records = [json.loads(line) for line in proc.stdout.splitlines()[:-1]]
+    assert [r["ok"] for r in records if r["check"] == "decreasing"] == \
+        [True] * 3
+    assert [(r["n"], r["detail"]) for r in records if not r["ok"]] == \
+        [(1, "witness 1/2"), (2, "witness 1/4"), (3, "witness 1/4")]
+
+
+def test_theorem_slow_tail_beside_a_near_point_is_decided(tmp_path):
+    # the point 10^-9 crowds the limit of a tail with ratio 999/1000 for
+    # about 20,700 terms; neither answer needs to walk them
+    slow = [_tail("1", "999/1000")]
+    near = ["0", "1/1000000000"]
+    for supports, decreasing, detail in (
+            ([(["0"], slow), (near, slow)], True, None),
+            ([(["0"], slow), (near, [])], False, "witness 1")):
+        path = _theorem_with_groups(tmp_path, "slow.json", supports)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qshift.cli", "theorem", "--stream",
+             str(path)], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        first = [json.loads(line) for line in proc.stdout.splitlines()
+                 if '"decreasing"' in line][0]
+        assert first["ok"] is decreasing and first.get("detail") == detail
+
+
+def test_theorem_past_the_period_cap_is_a_limit_error(tmp_path):
+    # tails with ratios 2^-p for the primes p up to 19 cover the powers of
+    # 1/2 with period 9,699,690, past the 2^20 the containment test allows
+    covers = [_tail("1", f"1/{2 ** p}") for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    path = _theorem_with_groups(tmp_path, "period.json", [
+        (["0"], [_tail("1", "1/2")]), (["0"], covers)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qshift.cli", "theorem", "--stream",
+         str(path)], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("limit error:")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_integer_options_take_ascii_digits_only(tmp_path):
+    out = tmp_path / "trace.json"
+    theorem = ["theorem", "--stream", "theorem_identity.json"]
+    for argv in (["props", "--seed", "\u0661", "--cases", "\u0663"],
+                 ["props", "--seed", "1_0", "--cases", "1"],
+                 ["props", "--cases", " 3"],
+                 ["props", "--cases", "+3"],
+                 ["props", "--seed", "3\n"],
+                 theorem + ["--seed", "\u0661"],
+                 theorem + ["--cases", "2_5"],
+                 ["construct", "--stream", str(SPECS / "empty.json"),
+                  "--steps", "\u0663", "--out", str(out)]):
+        proc = _cli(*argv)
+        assert proc.returncode == 2, argv
+        assert "not an integer" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.exists()
+    # a seed may be negative, and the benchmark's theorem options still work
+    assert _cli("props", "--seed", "-4", "--cases", "1").returncode == 0
+    assert _cli(*theorem, "--seed", "-1", "--cases", "250").returncode == 0
+
+
 def test_construct_steps_capped_at_parse_time(tmp_path):
     out = tmp_path / "trace.json"
     proc = subprocess.run(

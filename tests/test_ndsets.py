@@ -3,11 +3,12 @@ from random import Random
 
 import pytest
 
-from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
-                           ndset_points, tail_final_piece)
+from qshift import ndsets
+from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, ndset_points,
+                           tail_final_piece)
 from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
-from qshift.rationals import Interval, Q
+from qshift.rationals import Interval, LimitError, Q
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
                              rng_interval, rng_rational, sample_points)
 
@@ -127,28 +128,32 @@ def test_find_gap_infinite_windows():
 
 def test_subset_of_closure_examples():
     half = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
-    assert half.subset_of_closure(half).verdict is SubsetVerdict.YES
-    assert ndset_points(Q(1, 4)).subset_of_closure(half).verdict is \
-        SubsetVerdict.YES
-    res = NDSet(tails=[GeomTail(0, 1, Q(1, 3))]).subset_of_closure(half)
-    assert res.verdict is SubsetVerdict.NO
-    assert res.witness == Q(1, 3)  # 3^-k is never a power of two past k=0
+    assert half.subset_of_closure(half) is None
+    assert ndset_points(Q(1, 4)).subset_of_closure(half) is None
+    # 3^-k is never a power of two past k=0
+    assert NDSet(tails=[GeomTail(0, 1, Q(1, 3))]).subset_of_closure(half) \
+        == Q(1, 3)
 
 
 def test_subset_of_closure_split_cover():
     half = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
     quarters = NDSet(tails=[GeomTail(0, 1, Q(1, 4)),
                             GeomTail(0, Q(1, 2), Q(1, 4))])
-    assert half.subset_of_closure(quarters).verdict is SubsetVerdict.YES
-    assert quarters.subset_of_closure(half).verdict is SubsetVerdict.YES
+    assert half.subset_of_closure(quarters) is None
+    assert quarters.subset_of_closure(half) is None
     one_parity = NDSet(tails=[GeomTail(0, 1, Q(1, 4))])
-    res = half.subset_of_closure(one_parity)
-    assert res.verdict is SubsetVerdict.NO and res.witness == Q(1, 2)
+    assert half.subset_of_closure(one_parity) == Q(1, 2)
+    # 1/8 and 1/4 are powers of 1/2, neither a power of the other:
+    # 8^-k = 4^-(3k/2) for even k and (1/2) * 4^-((3k-1)/2) for odd k
+    eighths = NDSet([0], [GeomTail(0, 1, Q(1, 8))])
+    assert eighths.subset_of_closure(quarters.union(ndset_points(0))) is None
+    assert eighths.subset_of_closure(one_parity) == Q(1, 8)
+    assert half.subset_of_closure(NDSet(tails=[GeomTail(0, 1, Q(1, 8))])) \
+        == Q(1, 2)
 
 
 def test_subset_of_closure_no_with_point_witness():
-    res = ndset_points(Q(5)).subset_of_closure(ndset_points(Q(4)))
-    assert res.verdict is SubsetVerdict.NO and res.witness == Q(5)
+    assert ndset_points(Q(5)).subset_of_closure(ndset_points(Q(4))) == Q(5)
 
 
 def test_nearest_closure_queries():
@@ -461,26 +466,160 @@ def covered_by_aps(aps, k):
 
 
 def test_tail_cover_aps_match_term_walks():
-    limit, r = Q(1, 3), Q(2, 3)
-    for c in (Q(3, 2), Q(-5, 7)):
-        for power in (1, 2, 3):
-            for e in range(-7, 4):
-                # t.ratio == s.ratio**power: the exponents from a start on
-                s = GeomTail(limit, c, r)
-                t = GeomTail(limit, c * r ** e, r ** power)
-                aps = NDSet(tails=[s])._tail_cover_aps(t)
-                assert aps == [(max(0, -(e // power)), 1)], (power, e)
-                for k in range(30):
-                    assert covered_by_aps(aps, k) == s.contains(t.term(k))
-                if power == 1:
-                    continue
-                # s.ratio == t.ratio**power: one residue class mod power
-                s = GeomTail(limit, c, r ** power)
-                t = GeomTail(limit, c * r ** e, r)
-                aps = NDSet(tails=[s])._tail_cover_aps(t)
-                assert len(aps) == 1 and aps[0][1] == power
-                for k in range(30):
-                    assert covered_by_aps(aps, k) == s.contains(t.term(k))
+    # one rule for every pair of ratios that are powers of one root rho:
+    # term k of t is a term of s on one progression with step b/gcd(a, b)
+    limit = Q(1, 3)
+    for rho in (Q(2, 3), Q(1, 2)):
+        for c in (Q(3, 2), Q(-5, 7)):
+            for a in (1, 2, 3, 4, 6):
+                for b in (1, 2, 3, 4, 6):
+                    for e in range(-7, 4):
+                        s = GeomTail(limit, c, rho ** b)
+                        t = GeomTail(limit, c * rho ** e, rho ** a)
+                        aps, independent = \
+                            NDSet(tails=[s])._tail_cover_aps(t)
+                        g = math.gcd(a, b)
+                        assert independent == 0
+                        assert [step for _, step in aps] == \
+                            ([b // g] if e % g == 0 else []), (a, b, e)
+                        if b == 1:
+                            # t.ratio == s.ratio**a: every exponent from
+                            # a start on
+                            assert aps == [(max(0, -(e // a)), 1)]
+                        for k in range(40):
+                            assert covered_by_aps(aps, k) == \
+                                s.contains(t.term(k)), (a, b, e, k)
+
+
+def test_tail_cover_aps_of_ratios_not_powers_of_each_other():
+    def aps(t_coeff, t_ratio, s_coeff, s_ratio):
+        s = GeomTail(0, s_coeff, s_ratio)
+        return NDSet(tails=[s])._tail_cover_aps(GeomTail(0, t_coeff, t_ratio))
+
+    # 8^-k is 4^-j for even k, and (1/2) * 4^-j for odd k
+    assert aps(1, Q(1, 8), 1, Q(1, 4)) == ([(0, 2)], 0)
+    assert aps(1, Q(1, 8), Q(1, 2), Q(1, 4)) == ([(1, 2)], 0)
+    assert aps(1, Q(1, 4), 1, Q(1, 8)) == ([(0, 3)], 0)
+    # (4/9)^k = (8/27)^j iff 2k = 3j, and (2/3) * (8/27)^j iff 2k = 3j + 1
+    assert aps(1, Q(4, 9), 1, Q(8, 27)) == ([(0, 3)], 0)
+    assert aps(1, Q(4, 9), Q(2, 3), Q(8, 27)) == ([(2, 3)], 0)
+    assert aps(1, Q(8, 27), 1, Q(4, 9)) == ([(0, 2)], 0)
+    assert aps(Q(2, 3), Q(8, 27), 1, Q(4, 9)) == ([(1, 2)], 0)
+    # (1/2) * 4^-k is an odd power of 1/2, 16^-j an even one
+    assert aps(Q(1, 2), Q(1, 4), 1, Q(1, 16)) == ([], 0)
+    # independent ratios share at most one term; other sides share none
+    assert aps(1, Q(1, 2), Q(1, 4), Q(1, 3)) == ([], 1)
+    assert aps(1, Q(1, 2), -1, Q(1, 2)) == ([], 0)
+
+
+def test_common_roots():
+    for rho in (Q(1, 2), Q(2, 3), Q(1, 6), Q(5, 12), Q(7, 8)):
+        for a in (1, 2, 3, 4, 6, 12):
+            for b in (1, 2, 3, 5, 8, 12):
+                assert ndsets._common_root(rho ** a, rho ** b) == \
+                    rho ** math.gcd(a, b), (rho, a, b)
+    assert ndsets._common_root(Q(1, 2 ** 600), Q(1, 2 ** 450)) == \
+        Q(1, 2 ** 150)
+    for u, v in ((Q(1, 2), Q(1, 3)), (Q(1, 4), Q(3, 8)), (Q(4, 9), Q(2, 9)),
+                 (Q(1, 2), Q(2, 3)), (Q(2, 3), Q(3, 4)),
+                 (Q(1, 6), Q(1, 180))):
+        assert ndsets._common_root(u, v) is None, (u, v)
+        assert ndsets._common_root(v, u) is None, (v, u)
+
+
+# roots shared by families of ratios, and ratios independent of all of them
+_ROOT_POWERS = ((Q(1, 2), (1, 2, 3)), (Q(2, 3), (2, 3)))
+_INDEPENDENT = (Q(1, 3), Q(1, 5))
+
+
+def _same_limit_family(rng):
+    """A tail and a set whose tails mostly share its limit, with ratios
+    that are powers of the tail's root (1/2, 1/4, 1/8, 4/9, 8/27) or
+    independent of it, plus points: some terms of the tail, some stray."""
+    limit = Q(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+    rho, powers = rng.choice(_ROOT_POWERS)
+    c = rng.choice((1, -1)) * rng.choice((Q(1), Q(3, 2), Q(4, 9)))
+    t = GeomTail(limit, c, rho ** rng.choice(powers))
+    tails = []
+    for _ in range(rng.randint(0, 4)):
+        u = rng.random()
+        if u < 0.7:
+            tails.append(GeomTail(limit, c * rho ** rng.randint(-2, 5),
+                                  rho ** rng.choice(powers)))
+        elif u < 0.8:
+            tails.append(GeomTail(limit, -c, rho ** rng.choice(powers)))
+        elif u < 0.9:
+            tails.append(GeomTail(limit, c * rng.choice((1, Q(1, 3))),
+                                  rng.choice(_INDEPENDENT)))
+        else:
+            tails.append(GeomTail(limit + Q(rng.randint(-2, 2), 7), c,
+                                  t.ratio))
+    points = [t.term(k) for k in range(rng.randint(0, 6))
+              if rng.random() < 0.8]
+    points += [limit + Q(rng.randint(-9, 9), rng.randint(1, 40))
+               for _ in range(rng.randint(0, 2))]
+    return t, NDSet(points, tails)
+
+
+def _head_brute(e, t):
+    """The least k from which the terms of t lie nearer to its limit than
+    every closure point of e but the limit and the terms of the tails
+    with that limit, by walking the terms."""
+    rest = NDSet([p for p in e.points if p != t.limit],
+                 [s for s in e.tails if s.limit != t.limit])
+    below, above = rest._neighbours(t.limit)
+    near = above if t.coeff > 0 else below
+    k = 0
+    while near is not None and abs(t.term(k) - t.limit) >= \
+            abs(near - t.limit):
+        k += 1
+    return k
+
+
+def test_subset_of_closure_matches_term_scan_on_same_limit_families():
+    # the oracle scans the closure for the first 400 terms; every witness
+    # is the same, and lies below the bound the exact scan relies on
+    rng = Random(2024)
+    held = escaped = 0
+    for _ in range(400):
+        t, e = _same_limit_family(rng)
+        want = next((t.term(k) for k in range(400)
+                     if not e.closure_contains(t.term(k))), None)
+        assert NDSet(tails=[t]).subset_of_closure(e) == want, (t, e)
+        if want is None:
+            held += 1
+            continue
+        escaped += 1
+        aps, independent = e._tail_cover_aps(t)
+        start = max((s for s, _ in aps), default=0)
+        period = math.lcm(*(step for _, step in aps))
+        k = next(k for k in range(400) if t.term(k) == want)
+        assert k < max(start, _head_brute(e, t)) + period * (independent + 1)
+    assert held > 80 and escaped > 200, (held, escaped)
+
+
+def test_power_search_refuses_past_the_exponent_cap(monkeypatch):
+    assert ndsets._min_pow_lt(Q(1, 2), Q(1, 1000)) == 10
+    monkeypatch.setattr(ndsets, "_MAX_EXPONENT", 8)
+    assert ndsets._min_pow_lt(Q(1, 2), Q(1, 200)) == 8
+    with pytest.raises(LimitError):
+        ndsets._min_pow_lt(Q(1, 2), Q(1, 1000))
+
+
+def test_subset_of_closure_refuses_past_its_caps(monkeypatch):
+    half = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
+    # the first four terms are points of the other set, the fifth escapes
+    crowded = ndset_points(1, Q(1, 2), Q(1, 4), Q(1, 8))
+    assert half.subset_of_closure(crowded) == Q(1, 16)
+    monkeypatch.setattr(ndsets, "_HEAD_CAP", 3)
+    with pytest.raises(LimitError):
+        half.subset_of_closure(crowded)
+    # the tails with ratios 1/4 and 1/8 cover the exponents with period 6
+    parts = NDSet(tails=[GeomTail(0, 1, Q(1, 4)), GeomTail(0, 1, Q(1, 8))])
+    assert half.subset_of_closure(parts) == Q(1, 2)
+    monkeypatch.setattr(ndsets, "_AP_MODULUS_CAP", 5)
+    with pytest.raises(LimitError):
+        half.subset_of_closure(parts)
 
 
 # -- union merges two normalized presentations -----------------------------

@@ -8,7 +8,7 @@ from qshift.serial import canon_dumps
 
 def to_json_obj(check):
     """The dict each report line used to be encoded from: the oracle."""
-    obj = {"check": check.name, "ok": check.ok, "mode": check.mode}
+    obj = {"check": check.name, "ok": check.ok, "mode": "exact"}
     if check.index is not None:
         obj["n"] = check.index
     if check.detail:
@@ -73,7 +73,7 @@ def test_verify_and_theorem_lines_match_the_dict_encoding(
         assert lines[:-1] == [canon_dumps(to_json_obj(c))
                               for c in report.checks], argv
         assert json.loads(lines[-1])["failures"] == report.failed
-        details.update(row[4] for row in report.rows if not row[1])
+        details.update(row[3] for row in report.rows if not row[1])
     assert any(d.startswith("J_6 contains ") for d in details)
     assert any(d.startswith("pi_n moves") for d in details)
 
@@ -81,16 +81,15 @@ def test_verify_and_theorem_lines_match_the_dict_encoding(
 def test_hand_made_rows_match_the_dict_encoding():
     odd = ['"', "\\", 'a"b\\c', "\n\t\r\b\f", "\x00\x01\x1f\x7f",
            "é ℚ ∅ ≤", "😀", "\ud800", "J_0 contains -1/3", " "]
-    rows = [("gap-disjoint", True, 0, "exact", "J_0"),
-            ("stream-hash", False, None, "exact", ""),
-            ("candidate-leq", True, 3, "sampled", ""),
-            ("claim2", False, None, "sampled", "witness 0"),
-            ("big", True, 10 ** 30, "exact", ""),
-            ("negative", False, -1, "exact", "x")]
-    rows += [(text, i % 2 == 0, i if i % 3 else None,
-              "sampled" if i % 4 else "exact", text)
+    rows = [("gap-disjoint", True, 0, "J_0"),
+            ("stream-hash", False, None, ""),
+            ("candidate-leq", True, 3, ""),
+            ("claim2", False, None, "witness 0"),
+            ("big", True, 10 ** 30, ""),
+            ("negative", False, -1, "x")]
+    rows += [(text, i % 2 == 0, i if i % 3 else None, text)
              for i, text in enumerate(odd)]
-    rows += [("name " + text, True, 7, "exact", "detail " + text)
+    rows += [("name " + text, True, 7, "detail " + text)
              for text in odd]
     assert_lines_match_oracle(rows)
     # repeated heads come from the same per-call memo
@@ -105,7 +104,7 @@ def test_rows_are_written_in_bounded_chunks():
         def write(self, text):
             writes.append(text)
 
-    rows = [("gap-disjoint", True, m, "exact", f"J_{m % 7}")
+    rows = [("gap-disjoint", True, m, f"J_{m % 7}")
             for m in range(10_000)]
     write_rows(rows, Recorder())
     assert [w.count("\n") for w in writes] == [1024] * 9 + [784]
@@ -118,17 +117,17 @@ def test_report_counts_failures_and_builds_checks_on_demand():
     assert report.add("a", True, 0) is True
     assert report.add("b", 0, detail="why") is False
     other = Report()
-    other.add("c", False, 2, mode="sampled")
+    other.add("c", False, 2)
     other.add("d", True)
     report.extend(other)
-    assert report.rows == [("a", True, 0, "exact", ""),
-                           ("b", False, None, "exact", "why"),
-                           ("c", False, 2, "sampled", ""),
-                           ("d", True, None, "exact", "")]
+    assert report.rows == [("a", True, 0, ""),
+                           ("b", False, None, "why"),
+                           ("c", False, 2, ""),
+                           ("d", True, None, "")]
     assert report.failed == 2 and not report.passed
     assert report.checks == [Check(*row) for row in report.rows]
-    assert report.failures == [Check("b", False, None, "exact", "why"),
-                               Check("c", False, 2, "sampled", "")]
+    assert report.failures == [Check("b", False, None, "why"),
+                               Check("c", False, 2)]
     assert report.summary() == "2 of 4 checks failed: b, c[2]"
     for k in range(6):
         report.add("e", False, k)

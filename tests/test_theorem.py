@@ -6,8 +6,7 @@ import pytest
 from qshift.construction import EStream, run_shift_construction, \
     verify_shift_trace
 from qshift.hfa import Atom, SeqNode, atom_seq, atoms_support
-from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, SubsetVerdict,
-                           ndset_points)
+from qshift.ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Q
 from qshift.sampling import fix_members, rng_plmap
@@ -205,7 +204,6 @@ def test_shifts_from_branch_checks_every_pair_decreasing():
     _, _, report = shifts_from_branch(inst, cert, hs)
     records = [c for c in report.checks if c.name == "decreasing"]
     assert [c.index for c in records] == list(range(len(cert) - 1))
-    assert [c.mode for c in records] == ["exact", "exact", "exact"]
     assert all(c.ok for c in records)
     # with the first two groups swapped the chain grows at n = 0
     _, _, report = shifts_from_branch(inst, cert, hs[:2][::-1] + hs[2:])
@@ -242,7 +240,7 @@ def _sampled_decreasing(groups, rng):
     for n in range(len(groups) - 1):
         lo, hi = groups[n + 1], groups[n]
         if isinstance(lo, Fix) and isinstance(hi, Fix):
-            ok = fix_leq(lo.support, hi.support).verdict is SubsetVerdict.YES
+            ok = fix_leq(lo.support, hi.support) is None
         else:
             support = lo.support if isinstance(lo, Fix) else NDSet()
             ok = all(member(hi, g)
