@@ -50,9 +50,9 @@ def _emit(obj, stream=None) -> None:
 
 
 def _print_report(report: Report, command: str) -> None:
-    write_rows(report.rows, sys.stdout)
+    write_rows(report.entries, sys.stdout)
     _emit({"command": command, "passed": report.passed,
-           "checks": len(report.rows), "failures": report.failed})
+           "checks": report.count, "failures": report.failed})
 
 
 def _resolve_spec(name: str) -> str:
@@ -71,7 +71,7 @@ def cmd_construct(args) -> int:
     write_json_file(args.out, obj)
     report = verify_shift_trace(trace, stream)
     if not report.passed:
-        write_rows((row for row in report.rows if not row[1]), sys.stderr)
+        write_rows(report.failed_rows(), sys.stderr)
         return EXIT_FAIL
     _emit({"command": "construct", "passed": True, "steps": len(trace.steps),
            "out": args.out, "streamHash": obj["streamHash"]})

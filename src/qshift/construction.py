@@ -29,7 +29,7 @@ from .rationals import Interval, Q, rat_str, simplest_between
 from .reporting import Report
 
 if TYPE_CHECKING:
-    from .serial import RecordedSet
+    from .serial import Recorded
 
 # -- canonical enumerations -------------------------------------------------
 
@@ -215,14 +215,14 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
 # -- the recursion ------------------------------------------------------------
 
 class ShiftStep:
-    # ``shifted`` is an NDSet, or a record read from a trace file that
-    # compares equal to the sets it encodes and decodes to one
-    # (serial.RecordedSet)
+    # ``sigma_next`` and ``shifted`` are a PLMap and an NDSet, or records
+    # read from a trace file that compare equal to the values they encode
+    # and decode to one (serial.Recorded)
     __slots__ = ("n", "interval", "gap", "pi", "sigma_next", "shifted")
 
     def __init__(self, n: int, interval: Interval, gap: Interval,
-                 pi: PLMap, sigma_next: PLMap,
-                 shifted: Union[NDSet, RecordedSet]):
+                 pi: PLMap, sigma_next: Union[PLMap, Recorded],
+                 shifted: Union[NDSet, Recorded]):
         self.n = n
         self.interval = interval
         self.gap = gap
@@ -364,17 +364,20 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
     # replayed sets increase (shifted_{m+1} contains
     # sigma_{m+1}(E_m) = pi_m(shifted_m) = shifted_m), so one query
     # against the last set clears gap k for every m; a hit, or any earlier
-    # failure, falls back to querying each set for gap k.
+    # failure, leaves gap k to be queried against each set.  The family
+    # is one report entry holding only its failing cells.
     gaps = [(step.gap.lower, step.gap.upper) for step in trace.steps]
-    clear = [chained and shifted[-1].closure_meets_closed(a, b) is None
-             for a, b in gaps]
+    unclear = [k for k, (a, b) in enumerate(gaps) if not chained
+               or shifted[-1].closure_meets_closed(a, b) is not None]
     labels = [f"J_{k}" for k in range(len(gaps))]
+    failing = []
     for m, s in enumerate(shifted):
-        for (a, b), is_clear, label in zip(gaps, clear, labels):
-            w = None if is_clear else s.closure_meets_closed(a, b)
-            report.add("gap-disjoint", w is None, m,
-                       detail=label if w is None
-                       else f"{label} contains {_witness_text(w)}")
+        for k in unclear:
+            w = s.closure_meets_closed(*gaps[k])
+            if w is not None:
+                failing.append((m, k,
+                                f"{labels[k]} contains {_witness_text(w)}"))
+    report.add_grid("gap-disjoint", len(shifted), labels, failing)
     return report
 
 

@@ -106,8 +106,11 @@ class PLMap:
     # -- basics ------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, PLMap)
-                and self.breakpoints == other.breakpoints
+        # another presentation type (a map as a trace records it) may
+        # compare itself with a map
+        if not isinstance(other, PLMap):
+            return NotImplemented
+        return (self.breakpoints == other.breakpoints
                 and self.left_slope == other.left_slope
                 and self.right_slope == other.right_slope)
 

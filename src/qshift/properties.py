@@ -366,23 +366,24 @@ def prop_subgroup_normalize(rng: Random, cases: int) -> Optional[dict]:
 
 
 def prop_subgroup_conj_routes(rng: Random, cases: int) -> Optional[dict]:
-    def bad(xs, img=None):
-        # img: e.image(p), shared by a case's probes
+    def bad(xs, img=None, term=None):
+        # img: e.image(p), and term: Conj(p, Fix(e)), shared by a case's
+        # probes
         p, e, f = xs["p"], xs["e"], xs["f"]
         if img is None:
-            img = e.image(p)
-        via_def = member(Conj(p, Fix(e)), f)
+            img, term = e.image(p), Conj(p, Fix(e))
+        via_def = member(term, f)
         via_fix = fix_violation(f, img) is None
         return via_def != via_fix
 
     for _ in range(cases):
         e = rng_ndset(rng, max_points=2, max_tails=1)
         p = rng_plmap(rng)
-        img = e.image(p)
+        img, term = e.image(p), Conj(p, Fix(e))
         probes = [rng_plmap(rng)] + fix_members(img, rng, 1)
         for f in probes:
             xs = {"p": p, "e": e, "f": f}
-            if bad(xs, img):
+            if bad(xs, img, term):
                 return _fail_case("conjugate membership two routes", xs, bad)
     return None
 

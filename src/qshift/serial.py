@@ -3,7 +3,11 @@
 Writers emit canonical presentations (sorted keys, compact separators,
 sorted set elements), so serialization is deterministic and golden files
 can be compared byte for byte.  Readers are strict: any shape violation
-raises SerializationError, which the CLI maps to its I/O exit code.
+raises SerializationError, which the CLI maps to its I/O exit code.  The
+trace reader keeps the records the verifier only compares, ``shifted``
+and ``sigma_next``, as parsed JSON (``Recorded``): they are checked, and
+decoded, when compared, and only when their canonical text differs from
+that of the value replayed.
 """
 
 from __future__ import annotations
@@ -239,52 +243,68 @@ def stream_hash(s: EStream) -> str:
     return hashlib.sha256(canon_dumps(stream_to_obj(s)).encode()).hexdigest()
 
 
-class RecordedSet:
-    """A trace's ``shifted`` record, kept as parsed JSON.
+class Recorded:
+    """A trace's ``shifted`` or ``sigma_next`` record, kept as parsed JSON.
 
-    The verifier only compares a recorded set with the set it re-derives,
-    so the record is decoded only when its canonical text differs from
-    that of the derived set's encoding: a record with the same text as
-    the encoding of a normalized set decodes to that set.  The decode
-    keeps every verdict of a full decode: an equal record that is not in
-    normal form still compares equal, and a malformed one raises
-    SerializationError.
+    ``kind`` is the class of value the record encodes (``NDSet`` or
+    ``PLMap``); it names the record's reader and writer.  The verifier
+    only compares a record with the value it re-derives, so the record is
+    decoded only when its canonical text differs from that of the derived
+    value's encoding: a record with the same text as the encoding of a
+    canonical value decodes to that value.  The decode keeps every
+    verdict of a full decode: an equal record that is not in normal form
+    still compares equal, and a malformed one raises SerializationError.
     """
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "kind")
 
-    def __init__(self, raw: Any):
+    def __init__(self, raw: Any, kind: type):
         self.raw = raw
+        self.kind = kind
 
-    def decode(self) -> NDSet:
-        return ndset_from_obj(self.raw)
+    def decode(self) -> Any:
+        return _codec(self.kind)[0](self.raw)
 
     def __eq__(self, other):
-        if isinstance(other, RecordedSet):
+        if isinstance(other, Recorded):
             return self.decode() == other.decode()
-        if not isinstance(other, NDSet):
+        if not isinstance(other, self.kind):
             return NotImplemented
+        read, write = _codec(self.kind)
         try:
-            same_text = (canon_dumps(ndset_to_obj(other))
-                         == canon_dumps(self.raw))
+            same_text = canon_dumps(write(other)) == canon_dumps(self.raw)
         except ValueError:
             # a rational of more than _MAX_DIGITS digits has no text, and
             # no record read from JSON holds one
             same_text = False
-        return same_text or self.decode() == other
+        return same_text or read(self.raw) == other
+
+
+def _codec(kind: type):
+    """The (reader, writer) of a kind of record, looked up when called."""
+    if kind is NDSet:
+        return ndset_from_obj, ndset_to_obj
+    return plmap_from_obj, plmap_to_obj
+
+
+def _decoded(value: Any) -> Any:
+    return value.decode() if isinstance(value, Recorded) else value
 
 
 def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
     steps = []
-    sigma, sigma_obj = None, None
+    sigma = sigma_obj = None
     for st in trace.steps:
-        shifted = st.shifted
-        if isinstance(shifted, RecordedSet):
-            shifted = shifted.decode()
-        try:
+        # records are decoded outside the try: a malformed one raises its
+        # own error
+        shifted = _decoded(st.shifted)
+        if st.sigma_next is not sigma:
             # an identity pi keeps sigma: each run of one map is encoded once
-            if st.sigma_next is not sigma:
-                sigma, sigma_obj = st.sigma_next, plmap_to_obj(st.sigma_next)
+            sigma = st.sigma_next
+            sigma_map, sigma_obj = _decoded(sigma), None
+        try:
+            if sigma_obj is None:
+                sigma_obj = plmap_to_obj(sigma_map)
             steps.append({
                 "n": st.n,
                 "I": interval_to_obj(st.interval),
@@ -318,10 +338,11 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     if o["N"] < 0:
         raise _fail("malformed trace header: N must be nonnegative")
     steps: List[ShiftStep] = []
-    # a map record equal to the previous step's decodes to an equal map,
+    # a pi record equal to the previous step's decodes to an equal map,
     # and a malformed one raised at its first occurrence: each run of
-    # equal records is decoded once.  Shifted sets stay undecoded until
-    # they are compared (RecordedSet)
+    # equal records is decoded once.  sigma_next and shifted records stay
+    # undecoded until they are compared (Recorded); a run of equal
+    # sigma_next records shares one record
     pi_obj = sigma_obj = _UNREAD
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
@@ -338,9 +359,10 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         if s["pi"] != pi_obj:
             pi_obj, pi = s["pi"], plmap_from_obj(s["pi"])
         if s["sigma_next"] != sigma_obj:
-            sigma_obj, sigma = s["sigma_next"], plmap_from_obj(s["sigma_next"])
+            sigma_obj = s["sigma_next"]
+            sigma = Recorded(sigma_obj, PLMap)
         steps.append(ShiftStep(s["n"], interval, gap, pi, sigma,
-                               RecordedSet(s["shifted"])))
+                               Recorded(s["shifted"], NDSet)))
     return ShiftTrace(steps), o["streamHash"], o["N"]
 
 
@@ -399,7 +421,7 @@ __all__ = [
     "SerializationError", "canon_dumps", "interval_to_obj", "interval_from_obj",
     "plmap_to_obj", "plmap_from_obj", "ndset_to_obj", "ndset_from_obj",
     "hfa_to_obj", "hfa_from_obj", "term_to_obj", "term_from_obj",
-    "stream_to_obj", "stream_from_obj", "stream_hash", "RecordedSet",
+    "stream_to_obj", "stream_from_obj", "stream_hash", "Recorded",
     "trace_to_obj", "trace_from_obj", "instance_from_obj",
     "write_json_file", "read_json_file",
 ]

@@ -10,7 +10,7 @@ is ever attempted; ``member`` on the terms as written is the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -56,6 +56,14 @@ class Conj(SubgroupTerm):
 
     by: PLMap
     inner: SubgroupTerm
+    # by^-1, computed on first use by ``by_inverse``
+    _by_inverse: Optional[PLMap] = field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    def by_inverse(self) -> PLMap:
+        if self._by_inverse is None:
+            object.__setattr__(self, "_by_inverse", self.by.invert())
+        return self._by_inverse
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +85,7 @@ def member(term: SubgroupTerm, f: PLMap) -> bool:
     if isinstance(term, Stab):
         return in_sym(f, term.obj)
     if isinstance(term, Conj):
-        inner_elt = term.by.invert().compose(f).compose(term.by)
+        inner_elt = term.by_inverse().compose(f).compose(term.by)
         return member(term.inner, inner_elt)
     if isinstance(term, Inter):
         return all(member(p, f) for p in term.parts)

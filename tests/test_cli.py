@@ -18,7 +18,8 @@ from qshift.ndsets import NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Q
 from qshift.sampling import rng_geomtail, rng_rational
-from qshift.serial import ndset_from_obj, stream_to_obj, write_json_file
+from qshift.serial import (ndset_from_obj, plmap_from_obj, stream_to_obj,
+                           write_json_file)
 
 SPECS = resources.files("qshift").joinpath("specs")
 
@@ -785,15 +786,19 @@ def test_verify_survives_every_field_mutation(tmp_path, capsys):
     assert codes[1] >= 50 and codes[2] >= 500, codes
 
 
-# -- verify decodes a recorded shifted set only on a mismatch -----------------
+# -- verify decodes a recorded sigma_next or shifted only on a mismatch -------
 
 def eager_trace_from_obj(o):
     """Reference reader: the trace as trace_from_obj reads it, with every
-    recorded shifted set decoded at once."""
+    recorded shifted set and sigma_next map decoded at once, in the order
+    verify compares them (step by step, shifted first)."""
     trace, recorded_hash, n = serial.trace_from_obj(o)
-    return ShiftTrace([ShiftStep(s.n, s.interval, s.gap, s.pi, s.sigma_next,
-                                 ndset_from_obj(s.shifted.raw))
-                       for s in trace.steps]), recorded_hash, n
+    steps = []
+    for s in trace.steps:
+        shifted = ndset_from_obj(s.shifted.raw)
+        steps.append(ShiftStep(s.n, s.interval, s.gap, s.pi,
+                               plmap_from_obj(s.sigma_next.raw), shifted))
+    return ShiftTrace(steps), recorded_hash, n
 
 
 def verify_both_ways(monkeypatch, capsys, spec, trace):
@@ -881,6 +886,104 @@ def test_lazy_verify_matches_eager_on_intact_and_tampered_traces(
                                        "mode": "exact", "n": k}]
                 kinds[label] = kinds.get(label, 0) + 1
     assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
+
+
+def _tampered_sigma(rec):
+    """(label, record, expected exit, reason in the input error) for
+    edits of a recorded sigma_next map: rationals swapped for other JSON
+    types, a missing or an extra key, equal maps out of normal form,
+    unsorted breakpoints and an unequal map."""
+    def edit(fn):
+        out = json.loads(json.dumps(rec))
+        fn(out)
+        return out
+    not_text = "rational must be a string"
+    keys = "expected keys ['breakpoints', 'leftSlope', 'rightSlope']"
+    for value in (1, True, 1.0):
+        yield (f"rightSlope {value!r}",
+               edit(lambda r, v=value: r.update(rightSlope=v)), 2, not_text)
+        yield (f"breakpoint {value!r}",
+               edit(lambda r, v=value: r["breakpoints"][0].__setitem__(0, v)),
+               2, not_text)
+    yield "no rightSlope", edit(lambda r: r.pop("rightSlope")), 2, keys
+    yield "extra key", edit(lambda r: r.update(note="x")), 2, keys
+
+    def doubled(r):
+        p = Fraction(r["breakpoints"][0][1])
+        r["breakpoints"][0][1] = f"{2 * p.numerator}/{2 * p.denominator}"
+    yield "2p/2q", edit(doubled), 0, ""
+    # a breakpoint on the right ray, one unit past the last one
+    x, y = map(Fraction, rec["breakpoints"][-1])
+    ray = [str(x + 1), str(y + Fraction(rec["rightSlope"]))]
+    yield "collinear", edit(lambda r: r["breakpoints"].append(ray)), 0, ""
+    yield ("unsorted",
+           edit(lambda r: r.update(breakpoints=[ray] + r["breakpoints"])), 2,
+           "breakpoints must increase in both coordinates")
+
+    def shifted_up(r):
+        for bp in r["breakpoints"]:
+            bp[1] = str(Fraction(bp[1]) + 1)
+    yield "unequal", edit(shifted_up), 1, ""
+
+
+def test_lazy_verify_matches_eager_on_hostile_sigma_records(
+        tmp_path, capsys, monkeypatch):
+    out, bad = tmp_path / "trace.json", tmp_path / "bad.json"
+    kinds = {}
+    for spec, upto in _stream_files(tmp_path):
+        assert run_cli("construct", "--stream", str(spec), "--steps",
+                       str(upto), "--out", str(out)) == 0
+        code, intact, err = verify_both_ways(monkeypatch, capsys, spec, out)
+        assert code == 0 and err == ""
+        blob = json.loads(out.read_text())
+        for k in range(0, len(blob["steps"]), 3):
+            for label, rec, want, reason in _tampered_sigma(
+                    blob["steps"][k]["sigma_next"]):
+                edited = json.loads(json.dumps(blob))
+                edited["steps"][k]["sigma_next"] = rec
+                bad.write_text(json.dumps(edited))
+                code, text, err = verify_both_ways(monkeypatch, capsys,
+                                                   spec, bad)
+                assert code == want, (label, k)
+                if want == 0:
+                    assert text == intact and err == ""
+                elif want == 2:
+                    assert text == "" and err.startswith(
+                        "input error: malformed map: ") and reason in err
+                else:
+                    assert err == ""
+                    failed = [json.loads(line) for line in text.splitlines()
+                              if '"ok":false' in line]
+                    assert failed == [{"check": "sigma-telescoping",
+                                       "ok": False, "mode": "exact", "n": k}]
+                kinds[label] = kinds.get(label, 0) + 1
+    assert len(kinds) == 12 and min(kinds.values()) >= 15, kinds
+
+
+def test_malformed_records_are_reported_in_replay_order(
+        tmp_path, capsys, monkeypatch):
+    # sigma_next and shifted records are decoded when verify compares
+    # them, step by step and shifted first: the first malformed one in
+    # that order is reported, whatever its kind
+    spec = SPECS / "tail_start.json"
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", str(spec), "--steps", "5",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    set_error = ("input error: malformed tail: headDrop must be a "
+                 "nonnegative int\n")
+    for shifted_at, sigma_at in ((1, 3), (3, 1), (2, 2)):
+        edited = json.loads(json.dumps(blob))
+        edited["steps"][shifted_at]["shifted"]["tails"][0]["headDrop"] = False
+        edited["steps"][sigma_at]["sigma_next"]["leftSlope"] = 1
+        out.write_text(json.dumps(edited))
+        code, text, err = verify_both_ways(monkeypatch, capsys, spec, out)
+        assert (code, text) == (2, ""), (shifted_at, sigma_at)
+        if shifted_at <= sigma_at:
+            assert err == set_error
+        else:
+            assert err.startswith("input error: malformed map: ") and \
+                "rational must be a string" in err
 
 
 def test_lazy_verify_matches_eager_on_every_field_mutation(

@@ -1,3 +1,4 @@
+import io
 import json
 from bisect import bisect_left
 from operator import itemgetter
@@ -14,6 +15,7 @@ from qshift.construction import (EStream, EvacuationError, ShiftStep,
 from qshift.ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap, squeeze_map
 from qshift.rationals import Interval, Q, rat_str, simplest_between
+from qshift.reporting import Check, write_rows
 from qshift.sampling import (rng_geomtail, rng_interval, rng_ndset,
                              rng_rational)
 from qshift.serial import (canon_dumps, interval_from_obj, ndset_from_obj,
@@ -355,24 +357,54 @@ def scratch_replay_records(trace, stream):
     return out
 
 
+def _oracle_line(name, index, ok, detail):
+    obj = {"check": name, "ok": ok, "mode": "exact", "n": index}
+    if detail:
+        obj["detail"] = detail
+    return canon_dumps(obj) + "\n"
+
+
+def assert_report_matches(report, want):
+    """Every view of ``report`` equals the row-by-row oracle ``want``, a
+    list of (check, n, ok, detail) records in report order."""
+    rows = [(name, ok, n, detail) for name, n, ok, detail in want]
+    assert report.rows == rows
+    assert len(report.rows) == report.count == len(want)
+    assert report.checks == [Check(*row) for row in rows]
+    failed = [Check(*row) for row in rows if not row[1]]
+    assert report.failures == failed and report.failed == len(failed)
+    assert report.passed == (not failed)
+    named = [f"{c.name}[{c.index}]" for c in failed]
+    assert report.summary() == (
+        f"{len(failed)} of {len(want)} checks failed: " + ", ".join(named[:5])
+        if failed else f"all {len(want)} checks passed")
+    out = io.StringIO()
+    write_rows(report.entries, out)
+    assert out.getvalue() == "".join(_oracle_line(*r) for r in want)
+
+
 def test_verifier_matches_scratch_replay():
     rng = Random(99)
     streams = tail_streams(rng, 5, 7)
     streams.append(EStream([ndset_points(rational_enum(i)) for i in range(7)]))
-    unfixed = 0
+    unfixed = one_step = hit = 0
     for s in streams:
-        trace = run_shift_construction(s, 5)
-        for steps in [list(trace.steps)] + list(_mutations(trace, rng)):
-            t = ShiftTrace(steps)
-            got = [(c.name, c.index, c.ok, c.detail)
-                   for c in verify_shift_trace(t, s).checks]
-            want = scratch_replay_records(t, s)
-            assert got == want
-            # a map that moves its shifted set before the last step sends
-            # the later derivations down the whole-level path
-            unfixed += any(name == "fixes-shifted" and not ok
-                           for name, _, ok, _ in want[:-6 - len(steps) ** 2])
+        for upto in (5, 0):
+            trace = run_shift_construction(s, upto)
+            for steps in [list(trace.steps)] + list(_mutations(trace, rng)):
+                t = ShiftTrace(steps)
+                want = scratch_replay_records(t, s)
+                assert_report_matches(verify_shift_trace(t, s), want)
+                # a map that moves its shifted set before the last step
+                # sends the later derivations down the whole-level path
+                unfixed += any(name == "fixes-shifted" and not ok
+                               for name, _, ok, _ in
+                               want[:-6 - len(steps) ** 2])
+                one_step += len(steps) == 1
+                hit += any(name == "gap-disjoint" and not ok
+                           for name, _, ok, _ in want)
     assert unfixed >= len(streams)
+    assert one_step >= 2 * len(streams) and hit >= len(streams)
 
 
 # -- decoded traces share repeated maps ------------------------------------------

@@ -51,7 +51,7 @@ def test_type_checking_imports_are_left_out():
     tree = ast.parse("from typing import TYPE_CHECKING\n"
                      "from .ndsets import NDSet\n"
                      "if TYPE_CHECKING:\n"
-                     "    from .serial import RecordedSet\n"
+                     "    from .serial import Recorded\n"
                      "def f():\n"
                      "    from . import cli\n")
     assert runtime_relative_imports(tree) == [(2, "ndsets"), (6, "cli")]

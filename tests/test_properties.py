@@ -7,6 +7,7 @@ from qshift.plmaps import PLMap
 from qshift.properties import (PROPERTIES, _shrink, run_properties,
                                to_jsonable)
 from qshift.rationals import Q
+from qshift.subgroups import Conj, Inter
 
 
 def test_all_suites_pass_on_small_budget():
@@ -93,16 +94,19 @@ def test_counterexample_records_keep_their_shape(monkeypatch):
         assert json.dumps(got) == json.dumps(want), name
 
 
-def _image_calls(monkeypatch, name, cases):
+def _calls(monkeypatch, cls, attr, name, cases):
+    """Calls of method ``attr`` of ``cls`` made by ``cases`` cases of
+    suite ``name`` under seed 0, which must pass."""
     calls = []
-    image = NDSet.image
+    method = getattr(cls, attr)
 
-    def counted(self, f):
+    def counted(self, *args):
         calls.append(1)
-        return image(self, f)
+        return method(self, *args)
 
-    monkeypatch.setattr(NDSet, "image", counted)
+    monkeypatch.setattr(cls, attr, counted)
     assert PROPERTIES[name](Random(f"0:{name}"), cases) is None
+    monkeypatch.undo()
     return len(calls)
 
 
@@ -110,5 +114,35 @@ def test_each_case_images_its_shared_sets_once(monkeypatch):
     # ndset-equivariance: e.image(f) for every probe, then e.image(f o g),
     # e.image(g) and its image under f; subgroup-conj-routes: e.image(p)
     # for the Fix members and every probe
-    assert _image_calls(monkeypatch, "ndset-equivariance", 30) == 4 * 30
-    assert _image_calls(monkeypatch, "subgroup-conj-routes", 30) == 30
+    assert _calls(monkeypatch, NDSet, "image", "ndset-equivariance",
+                  30) == 4 * 30
+    assert _calls(monkeypatch, NDSet, "image", "subgroup-conj-routes",
+                  30) == 30
+
+
+def _conjugates(term):
+    if isinstance(term, Conj):
+        return 1 + _conjugates(term.inner)
+    if isinstance(term, Inter):
+        return sum(_conjugates(p) for p in term.parts)
+    return 0
+
+
+def test_each_conjugate_inverts_its_map_once(monkeypatch):
+    # subgroup-conj-routes: one Conj(p, Fix(e)) per case, shared by its
+    # probes
+    assert _calls(monkeypatch, PLMap, "invert", "subgroup-conj-routes",
+                  30) == 30
+    # subgroup-normalize: the identity probe reaches every conjugate in a
+    # term, and the other probes reuse the inverse it computed
+    terms = []
+    normalize = properties.normalize
+
+    def keep(term):
+        terms.append(term)
+        return normalize(term)
+
+    monkeypatch.setattr(properties, "normalize", keep)
+    inverts = _calls(monkeypatch, PLMap, "invert", "subgroup-normalize", 30)
+    assert len(terms) == 30
+    assert inverts == sum(_conjugates(t) for t in terms) > 0

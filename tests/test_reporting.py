@@ -133,3 +133,60 @@ def test_report_counts_failures_and_builds_checks_on_demand():
         report.add("e", False, k)
     assert report.summary() == "8 of 10 checks failed: b, c[2], e[0], " \
         "e[1], e[2]"
+
+
+def _grid_rows(name, sets, labels, failing):
+    """The rows a grid stands for: every (m, k) cell in m-major order, a
+    failing cell in place of its pass."""
+    hits = {(m, k): detail for m, k, detail in failing}
+    return [(name, False, m, hits[m, k]) if (m, k) in hits
+            else (name, True, m, label)
+            for m in range(sets) for k, label in enumerate(labels)]
+
+
+def test_grids_expand_in_place_across_extended_reports():
+    first = Report()
+    first.add("stream-hash", True, detail="trace header matches")
+    first.add_grid("gap-disjoint", 3, ["J_0", "J_1"], [])
+    second = Report()
+    second.add("claim", False, 0)
+    cells = [(0, 1, "J_1 contains 1/2"), (2, 0, "J_0 contains 3"),
+             (2, 2, "J_2 contains -1/3")]
+    second.add_grid("gap-disjoint", 4, ["J_0", "J_1", "J_2"], cells)
+    second.add_grid("no-labels", 5, [], [])
+    second.add("last", True)
+    report = Report()
+    report.extend(first)
+    report.add("between", True, 7)
+    report.extend(second)
+    rows = ([("stream-hash", True, None, "trace header matches")]
+            + _grid_rows("gap-disjoint", 3, ["J_0", "J_1"], [])
+            + [("between", True, 7, ""), ("claim", False, 0, "")]
+            + _grid_rows("gap-disjoint", 4, ["J_0", "J_1", "J_2"], cells)
+            + [("last", True, None, "")])
+    assert report.rows == rows and report.count == len(rows) == 22
+    assert report.checks == [Check(*row) for row in rows]
+    assert report.failures == [Check(*row) for row in rows if not row[1]]
+    assert report.failed == 4 and not report.passed
+    assert report.summary() == ("4 of 22 checks failed: claim[0], "
+                                "gap-disjoint[0], gap-disjoint[2], "
+                                "gap-disjoint[2]")
+    assert list(report.failed_rows()) == [row for row in rows if not row[1]]
+    assert written(report.entries) == written(rows)
+    assert_lines_match_oracle(rows)
+
+
+def test_grid_lines_are_written_in_bounded_chunks():
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    report = Report()
+    labels = [f"J_{k}" for k in range(30)]
+    report.add_grid("gap-disjoint", 100, labels, [(50, 3, "J_3 contains 1")])
+    write_rows(report.entries, Recorder())
+    assert "".join(writes) == written(report.rows)
+    # whole sets, and one write past each 1024 lines
+    assert [w.count("\n") for w in writes] == [1050] * 2 + [900]

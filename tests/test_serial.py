@@ -10,7 +10,7 @@ from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Interval, Q
 from qshift.sampling import rng_hfa, rng_ndset, rng_plmap
-from qshift.serial import (RecordedSet, SerializationError, canon_dumps,
+from qshift.serial import (Recorded, SerializationError, canon_dumps,
                            hfa_from_obj, hfa_to_obj, interval_from_obj,
                            interval_to_obj, ndset_from_obj, ndset_to_obj,
                            plmap_from_obj, plmap_to_obj, stream_from_obj,
@@ -124,19 +124,20 @@ def test_trace_header_validation():
 
 def test_recorded_set_compares_from_either_side():
     e = NDSet([Q(3), Q(-1)], [GeomTail(0, 1, Q(1, 2))])
-    rec = RecordedSet(json.loads(canon_dumps(ndset_to_obj(e))))
+    rec = Recorded(json.loads(canon_dumps(ndset_to_obj(e))), NDSet)
     assert rec == e and e == rec and not rec != e and not e != rec
     other = ndset_points(Q(3))
     assert rec != other and other != rec
     assert rec != "not a set" and rec != None  # noqa: E711
     # the same set out of normal form: points unsorted, a tail term listed
     # as a point, the tail given with a dropped head
-    loose = RecordedSet({"points": ["3", "1/2", "-1"], "tails": [
-        {"limit": "0", "coeff": "2", "ratio": "1/2", "headDrop": 1}]})
+    loose = Recorded({"points": ["3", "1/2", "-1"], "tails": [
+        {"limit": "0", "coeff": "2", "ratio": "1/2", "headDrop": 1}]}, NDSet)
     assert loose == e and e == loose and loose == rec and rec == loose
     for drop in (False, 0.0, -1):
-        bad = RecordedSet({"points": [], "tails": [
-            {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": drop}]})
+        bad = Recorded({"points": [], "tails": [
+            {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": drop}]},
+            NDSet)
         with pytest.raises(SerializationError):
             bad == e
         with pytest.raises(SerializationError):
@@ -147,9 +148,9 @@ def test_recorded_set_against_a_set_with_no_text():
     # a rational of more than 4300 digits has no str(); the record is
     # compared by decoding it instead
     huge = NDSet([Q(1, 3 ** 9100), Q(1)], [])
-    rec = RecordedSet({"points": ["1"], "tails": []})
+    rec = Recorded({"points": ["1"], "tails": []}, NDSet)
     assert rec != huge and huge != rec
-    assert RecordedSet({"points": ["1", "1/3"], "tails": []}) != huge
+    assert Recorded({"points": ["1", "1/3"], "tails": []}, NDSet) != huge
 
 
 def test_read_trace_gives_the_same_witness_subgroup():
@@ -157,7 +158,7 @@ def test_read_trace_gives_the_same_witness_subgroup():
                       ndset_points(Q(-2), Q(5)), ndset_points(Q(7, 2))])
     trace = run_shift_construction(stream, 3)
     parsed = trace_from_obj(trace_to_obj(trace, stream))[0]
-    assert isinstance(parsed.steps[0].shifted, RecordedSet)
+    assert isinstance(parsed.steps[0].shifted, Recorded)
     assert witness_subgroup(parsed) == witness_subgroup(trace)
     assert not witness_subgroup(trace).is_empty
 
