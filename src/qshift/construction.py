@@ -20,12 +20,13 @@ membership oracles.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap, squeeze_map
-from .rationals import Interval, Q, rat_str, simplest_between
+from .rationals import Interval, Q, describe_rat, rat_str, simplest_between
 from .reporting import Report
 
 if TYPE_CHECKING:
@@ -87,6 +88,7 @@ def pair_index(i: int, j: int) -> int:
 
 # -- streams ----------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class EStream:
     """Increasing chain of nowhere-dense sets, presented as increments.
 
@@ -94,14 +96,11 @@ class EStream:
     increment the chain stays constant (further increments are empty).
     """
 
-    __slots__ = ("increments", "_levels")
+    increments: Sequence[NDSet]
+    _levels: List[NDSet] = field(default_factory=list, init=False, repr=False)
 
-    def __init__(self, increments: Sequence[NDSet]):
-        object.__setattr__(self, "increments", tuple(increments))
-        object.__setattr__(self, "_levels", [])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EStream is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "increments", tuple(self.increments))
 
     def __len__(self):
         return len(self.increments)
@@ -214,44 +213,31 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
 
 # -- the recursion ------------------------------------------------------------
 
+@dataclass(slots=True)
 class ShiftStep:
     # ``sigma_next`` and ``shifted`` are a PLMap and an NDSet, or records
     # read from a trace file that compare equal to the values they encode
     # and decode to one (serial.Recorded)
-    __slots__ = ("n", "interval", "gap", "pi", "sigma_next", "shifted")
-
-    def __init__(self, n: int, interval: Interval, gap: Interval,
-                 pi: PLMap, sigma_next: Union[PLMap, Recorded],
-                 shifted: Union[NDSet, Recorded]):
-        self.n = n
-        self.interval = interval
-        self.gap = gap
-        self.pi = pi
-        self.sigma_next = sigma_next
-        self.shifted = shifted
-
-    def __eq__(self, other):
-        return (isinstance(other, ShiftStep)
-                and (self.n, self.interval, self.gap, self.pi,
-                     self.sigma_next, self.shifted)
-                == (other.n, other.interval, other.gap, other.pi,
-                    other.sigma_next, other.shifted))
+    n: int
+    interval: Interval
+    gap: Interval
+    pi: PLMap
+    sigma_next: Union[PLMap, Recorded]
+    shifted: Union[NDSet, Recorded]
 
     def __repr__(self):
         return f"ShiftStep(n={self.n}, J={self.gap!r})"
 
 
+@dataclass(slots=True)
 class ShiftTrace:
-    __slots__ = ("steps",)
+    steps: Sequence[ShiftStep]
 
-    def __init__(self, steps: Sequence[ShiftStep]):
-        self.steps = tuple(steps)
+    def __post_init__(self):
+        self.steps = tuple(self.steps)
 
     def __len__(self):
         return len(self.steps)
-
-    def __eq__(self, other):
-        return isinstance(other, ShiftTrace) and self.steps == other.steps
 
     @property
     def sigmas(self) -> List[PLMap]:
@@ -301,15 +287,6 @@ def witness_subgroup(trace: ShiftTrace) -> NDSet:
     return out
 
 
-def _witness_text(q: Q) -> str:
-    # rat_str refuses a rational of more than 4300 digits, and a tampered
-    # map can send a stream point to one that long
-    try:
-        return rat_str(q)
-    except ValueError:
-        return "a rational too long to print"
-
-
 def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
     """Independent replay of a trace.
 
@@ -350,7 +327,7 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
         moved = fix_violation(step.pi, derived)
         chained &= report.add("fixes-shifted", moved is None, n,
                               detail="pi_n in Fix(shifted_n)" if moved is None
-                              else f"pi_n moves {_witness_text(moved)}")
+                              else f"pi_n moves {describe_rat(moved)}")
         sigma = step.pi.compose(sigma)
         # an identity pi leaves sigma as it was, and a decoded trace shares
         # a repeated record; maps are immutable, so each pair of objects
@@ -376,7 +353,7 @@ def verify_shift_trace(trace: ShiftTrace, stream: EStream) -> Report:
             w = s.closure_meets_closed(*gaps[k])
             if w is not None:
                 failing.append((m, k,
-                                f"{labels[k]} contains {_witness_text(w)}"))
+                                f"{labels[k]} contains {describe_rat(w)}"))
     report.add_grid("gap-disjoint", len(shifted), labels, failing)
     return report
 

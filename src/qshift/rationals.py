@@ -74,6 +74,15 @@ def rat_str(q: Q) -> str:
     return text
 
 
+def describe_rat(q: Q) -> str:
+    """``rat_str(q)`` for a message, or a note when q is too long for it:
+    a tampered map can send a point to a rational of any length."""
+    try:
+        return rat_str(q)
+    except ValueError:
+        return "a rational too long to print"
+
+
 def floor_rat(q: Q) -> int:
     return q.numerator // q.denominator
 
@@ -193,5 +202,5 @@ class Interval:
 
 __all__ = [
     "BACKEND", "Q", "Interval", "LimitError", "rat", "parse_rational",
-    "rat_str", "floor_rat", "ceil_rat", "simplest_between",
+    "rat_str", "describe_rat", "floor_rat", "ceil_rat", "simplest_between",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from .construction import EStream, ShiftStep, ShiftTrace
@@ -39,13 +40,10 @@ def canon_dumps(obj: Any) -> str:
     return _CANON.encode(obj)
 
 
-def _fail(msg: str) -> "SerializationError":
-    return SerializationError(msg)
-
-
 def _need(obj: Any, keys: Tuple[str, ...], what: str) -> None:
     if not isinstance(obj, dict) or set(obj) != set(keys):
-        raise _fail(f"malformed {what}: expected keys {sorted(keys)}")
+        raise SerializationError(
+            f"malformed {what}: expected keys {sorted(keys)}")
 
 
 def _is_int(o: Any) -> bool:
@@ -56,11 +54,12 @@ def _is_int(o: Any) -> bool:
 
 def _rat_from(o: Any, what: str) -> Q:
     if not isinstance(o, str):
-        raise _fail(f"malformed {what}: rational must be a string")
+        raise SerializationError(
+            f"malformed {what}: rational must be a string")
     try:
         return parse_rational(o)
     except ValueError as exc:
-        raise _fail(f"malformed {what}: {exc}") from exc
+        raise SerializationError(f"malformed {what}: {exc}") from exc
 
 
 # -- intervals ---------------------------------------------------------------
@@ -79,7 +78,7 @@ def interval_from_obj(o: Any) -> Interval:
     try:
         return Interval(lo, hi)
     except ValueError as exc:
-        raise _fail(f"malformed interval: {exc}") from exc
+        raise SerializationError(f"malformed interval: {exc}") from exc
 
 
 # -- maps --------------------------------------------------------------------
@@ -95,17 +94,20 @@ def plmap_to_obj(f: PLMap) -> dict:
 def plmap_from_obj(o: Any) -> PLMap:
     _need(o, ("breakpoints", "leftSlope", "rightSlope"), "map")
     if not isinstance(o["breakpoints"], list) or not o["breakpoints"]:
-        raise _fail("malformed map: breakpoints must be a nonempty list")
+        raise SerializationError(
+            "malformed map: breakpoints must be a nonempty list")
     bps = []
     for item in o["breakpoints"]:
         if not (isinstance(item, list) and len(item) == 2):
-            raise _fail("malformed map: breakpoint must be a pair")
+            raise SerializationError(
+                "malformed map: breakpoint must be a pair")
         bps.append((_rat_from(item[0], "map"), _rat_from(item[1], "map")))
+    left = _rat_from(o["leftSlope"], "map")
+    right = _rat_from(o["rightSlope"], "map")
     try:
-        return PLMap(bps, _rat_from(o["leftSlope"], "map"),
-                     _rat_from(o["rightSlope"], "map"))
+        return PLMap(bps, left, right)
     except ValueError as exc:
-        raise _fail(f"malformed map: {exc}") from exc
+        raise SerializationError(f"malformed map: {exc}") from exc
 
 
 # -- nowhere-dense sets --------------------------------------------------------
@@ -122,27 +124,30 @@ def ndset_to_obj(e: NDSet) -> dict:
 def ndset_from_obj(o: Any) -> NDSet:
     _need(o, ("points", "tails"), "set")
     if not isinstance(o["points"], list) or not isinstance(o["tails"], list):
-        raise _fail("malformed set: points and tails must be lists")
+        raise SerializationError(
+            "malformed set: points and tails must be lists")
     pts = [_rat_from(p, "set") for p in o["points"]]
     tails = []
     for t in o["tails"]:
         _need(t, ("limit", "coeff", "ratio", "headDrop"), "tail")
         drop = t["headDrop"]
         if not _is_int(drop) or drop < 0:
-            raise _fail("malformed tail: headDrop must be a nonnegative int")
+            raise SerializationError(
+                "malformed tail: headDrop must be a nonnegative int")
         coeff, ratio = _rat_from(t["coeff"], "tail"), _rat_from(t["ratio"], "tail")
         # bound the digits of the folded coeff * ratio**drop before
         # computing the power
         if drop and max(len(str(abs(c))) + drop * len(str(abs(r))) for c, r in (
                 (coeff.numerator, ratio.numerator),
                 (coeff.denominator, ratio.denominator))) > _MAX_DIGITS:
-            raise _fail(f"malformed tail: headDrop {drop} could give the "
-                        f"coefficient more than {_MAX_DIGITS} digits")
+            raise SerializationError(
+                f"malformed tail: headDrop {drop} could give the "
+                f"coefficient more than {_MAX_DIGITS} digits")
+        limit = _rat_from(t["limit"], "tail")
         try:
-            tails.append(GeomTail(_rat_from(t["limit"], "tail"), coeff, ratio,
-                                  head_drop=drop))
+            tails.append(GeomTail(limit, coeff, ratio, head_drop=drop))
         except ValueError as exc:
-            raise _fail(f"malformed tail: {exc}") from exc
+            raise SerializationError(f"malformed tail: {exc}") from exc
     return NDSet(pts, tails)
 
 
@@ -155,8 +160,8 @@ _MAX_NESTING = 100
 
 def _nested(depth: int, what: str) -> int:
     if depth >= _MAX_NESTING:
-        raise _fail(f"malformed {what}: nested more than {_MAX_NESTING} "
-                    "levels deep")
+        raise SerializationError(
+            f"malformed {what}: nested more than {_MAX_NESTING} levels deep")
     return depth + 1
 
 
@@ -167,25 +172,26 @@ def hfa_to_obj(x: HFAValue) -> dict:
         return {"set": [hfa_to_obj(e) for e in x.elements]}
     if isinstance(x, SeqNode):
         return {"seq": [hfa_to_obj(e) for e in x.items]}
-    raise _fail(f"not an HFA value: {type(x).__name__}")
+    raise SerializationError(f"not an HFA value: {type(x).__name__}")
 
 
 def hfa_from_obj(o: Any, depth: int = 0) -> HFAValue:
     if not isinstance(o, dict) or len(o) != 1:
-        raise _fail("malformed value: expected one of atom/set/seq")
+        raise SerializationError(
+            "malformed value: expected one of atom/set/seq")
     if "atom" in o:
         return Atom(_rat_from(o["atom"], "atom"))
     if "set" in o:
         if not isinstance(o["set"], list):
-            raise _fail("malformed value: set must hold a list")
+            raise SerializationError("malformed value: set must hold a list")
         depth = _nested(depth, "value")
         return SetNode(hfa_from_obj(e, depth) for e in o["set"])
     if "seq" in o:
         if not isinstance(o["seq"], list):
-            raise _fail("malformed value: seq must hold a list")
+            raise SerializationError("malformed value: seq must hold a list")
         depth = _nested(depth, "value")
         return SeqNode(hfa_from_obj(e, depth) for e in o["seq"])
-    raise _fail("malformed value: expected one of atom/set/seq")
+    raise SerializationError("malformed value: expected one of atom/set/seq")
 
 
 # -- subgroup terms -------------------------------------------------------------
@@ -201,14 +207,14 @@ def term_to_obj(t: SubgroupTerm) -> Any:
         return {"conj": {"by": plmap_to_obj(t.by), "inner": term_to_obj(t.inner)}}
     if isinstance(t, Inter):
         return {"inter": [term_to_obj(p) for p in t.parts]}
-    raise _fail(f"not a subgroup term: {type(t).__name__}")
+    raise SerializationError(f"not a subgroup term: {type(t).__name__}")
 
 
 def term_from_obj(o: Any, depth: int = 0) -> SubgroupTerm:
     if o == "full":
         return FULL_GROUP
     if not isinstance(o, dict) or len(o) != 1:
-        raise _fail("malformed subgroup term")
+        raise SerializationError("malformed subgroup term")
     if "fix" in o:
         return Fix(ndset_from_obj(o["fix"]))
     if "stab" in o:
@@ -220,10 +226,11 @@ def term_from_obj(o: Any, depth: int = 0) -> SubgroupTerm:
                                   _nested(depth, "subgroup term")))
     if "inter" in o:
         if not isinstance(o["inter"], list):
-            raise _fail("malformed subgroup term: inter must hold a list")
+            raise SerializationError(
+                "malformed subgroup term: inter must hold a list")
         depth = _nested(depth, "subgroup term")
         return Inter([term_from_obj(p, depth) for p in o["inter"]])
-    raise _fail("malformed subgroup term")
+    raise SerializationError("malformed subgroup term")
 
 
 # -- streams and traces ----------------------------------------------------------
@@ -235,7 +242,8 @@ def stream_to_obj(s: EStream) -> dict:
 def stream_from_obj(o: Any) -> EStream:
     _need(o, ("increments",), "stream")
     if not isinstance(o["increments"], list):
-        raise _fail("malformed stream: increments must be a list")
+        raise SerializationError(
+            "malformed stream: increments must be a list")
     return EStream([ndset_from_obj(d) for d in o["increments"]])
 
 
@@ -243,6 +251,7 @@ def stream_hash(s: EStream) -> str:
     return hashlib.sha256(canon_dumps(stream_to_obj(s)).encode()).hexdigest()
 
 
+@dataclass(slots=True, eq=False)
 class Recorded:
     """A trace's ``shifted`` or ``sigma_next`` record, kept as parsed JSON.
 
@@ -256,11 +265,8 @@ class Recorded:
     still compares equal, and a malformed one raises SerializationError.
     """
 
-    __slots__ = ("raw", "kind")
-
-    def __init__(self, raw: Any, kind: type):
-        self.raw = raw
-        self.kind = kind
+    raw: Any
+    kind: type
 
     def decode(self) -> Any:
         return _codec(self.kind)[0](self.raw)
@@ -316,9 +322,9 @@ def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
         except ValueError as exc:
             # the recursion can grow a parsed coefficient past the digits
             # rat_str writes
-            raise _fail(f"step {st.n} holds a rational of more than "
-                        f"{_MAX_DIGITS} digits, which has no text form"
-                        ) from exc
+            raise SerializationError(
+                f"step {st.n} holds a rational of more than {_MAX_DIGITS} "
+                "digits, which has no text form") from exc
     return {"streamHash": stream_hash(stream), "N": len(steps) - 1,
             "steps": steps}
 
@@ -329,14 +335,15 @@ _UNREAD = object()  # equal to no JSON value
 def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     _need(o, ("streamHash", "N", "steps"), "trace")
     if not isinstance(o["streamHash"], str) or not _is_int(o["N"]):
-        raise _fail("malformed trace header")
+        raise SerializationError("malformed trace header")
     if not isinstance(o["steps"], list):
-        raise _fail("malformed trace: steps must be a list")
+        raise SerializationError("malformed trace: steps must be a list")
     # construct writes step 0 at least; an empty trace certifies nothing
     if not o["steps"]:
-        raise _fail("malformed trace: steps must not be empty")
+        raise SerializationError("malformed trace: steps must not be empty")
     if o["N"] < 0:
-        raise _fail("malformed trace header: N must be nonnegative")
+        raise SerializationError(
+            "malformed trace header: N must be nonnegative")
     steps: List[ShiftStep] = []
     # a pi record equal to the previous step's decodes to an equal map,
     # and a malformed one raised at its first occurrence: each run of
@@ -347,14 +354,15 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
         if not _is_int(s["n"]):
-            raise _fail("malformed trace step: n must be an int")
+            raise SerializationError("malformed trace step: n must be an int")
         if s["n"] != i:
-            raise _fail(f"malformed trace step {i}: n must equal the "
-                        "step's position (0, 1, 2, ...)")
+            raise SerializationError(f"malformed trace step {i}: n must equal "
+                                     "the step's position (0, 1, 2, ...)")
         gap = interval_from_obj(s["J"])
         if gap.lower is None or gap.upper is None:
             # the verifier tests every gap as a closed interval
-            raise _fail(f"malformed trace step {i}: J must be bounded")
+            raise SerializationError(
+                f"malformed trace step {i}: J must be bounded")
         interval = interval_from_obj(s["I"])
         if s["pi"] != pi_obj:
             pi_obj, pi = s["pi"], plmap_from_obj(s["pi"])
@@ -375,25 +383,28 @@ def instance_from_obj(o: Any):
     _need(o, ("x", "t", "tau", "H"), "theorem instance")
     for key in ("x", "t", "tau", "H"):
         if not isinstance(o[key], list):
-            raise _fail(f"malformed theorem instance: {key} must be a list")
+            raise SerializationError(
+                f"malformed theorem instance: {key} must be a list")
     xs = [hfa_from_obj(v) for v in o["x"]]
     ts = [hfa_from_obj(v) for v in o["t"]]
     taus = [plmap_from_obj(m) for m in o["tau"]]
     hs = [term_from_obj(h) for h in o["H"]]
     if not xs:
-        raise _fail("malformed theorem instance: x must not be empty")
+        raise SerializationError(
+            "malformed theorem instance: x must not be empty")
     if len(hs) < len(xs):
-        raise _fail("malformed theorem instance: H must declare one group "
-                    "per entry of x")
+        raise SerializationError("malformed theorem instance: H must "
+                                 "declare one group per entry of x")
     h0 = normalize(hs[0])
     if not isinstance(h0, Fix):
-        raise _fail("malformed theorem instance: the first group must "
-                    "normalize to Fix form to declare the orbit base")
+        raise SerializationError(
+            "malformed theorem instance: the first group must normalize to "
+            "Fix form to declare the orbit base")
     try:
         inst = TreeInstance(xs, h0.support)
         cert = BranchCertificate(xs, ts, taus)
     except ValueError as exc:
-        raise _fail(f"malformed theorem instance: {exc}") from exc
+        raise SerializationError(f"malformed theorem instance: {exc}") from exc
     return inst, cert, hs
 
 
@@ -403,7 +414,7 @@ def write_json_file(path: str, obj: Any) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc}") from exc
+        raise SerializationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json_file(path: str) -> Any:
@@ -414,7 +425,7 @@ def read_json_file(path: str) -> Any:
         # ValueError covers malformed JSON, undecodable bytes and integer
         # literals over Python's int conversion limit; RecursionError,
         # arrays or objects nested deeper than the decoder recurses
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
 __all__ = [

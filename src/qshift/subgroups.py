@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .hfa import HFAValue, atoms_support, in_sym
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap
-from .rationals import Q, rat_str
+from .rationals import Q, describe_rat
 from .reporting import Report
 
 
@@ -151,22 +151,20 @@ class FilterDescriptor(Enum):
 
 # -- shifted-sequence witness checking --------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ShiftProblem:
     """A decreasing subgroup sequence, a map sequence to check against it,
     and a declared generator for the intersection."""
 
-    __slots__ = ("groups", "witness", "candidate")
+    groups: Sequence[SubgroupTerm]
+    witness: Sequence[PLMap]
+    candidate: NDSet
 
-    def __init__(self, groups: Sequence[SubgroupTerm],
-                 witness: Sequence[PLMap], candidate: NDSet):
-        if len(witness) > len(groups):
+    def __post_init__(self):
+        if len(self.witness) > len(self.groups):
             raise ValueError("more witness maps than groups")
-        object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "witness", tuple(witness))
-        object.__setattr__(self, "candidate", candidate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftProblem is immutable")
+        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "witness", tuple(self.witness))
 
 
 def shifted_groups(groups: Sequence[SubgroupTerm],
@@ -188,7 +186,8 @@ def add_fix_leq(report: Report, name: str, support: NDSet, other: NDSet,
     ``fix_leq`` when it fails."""
     witness = fix_leq(support, other)
     report.add(name, witness is None, index,
-               detail="" if witness is None else f"witness {rat_str(witness)}")
+               detail="" if witness is None
+               else f"witness {describe_rat(witness)}")
 
 
 def check_decreasing(report: Report, groups: Sequence[SubgroupTerm]) -> None:

@@ -13,6 +13,7 @@ constructed explicitly).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .construction import EStream
@@ -78,21 +79,17 @@ def order_iso_fixing(support: NDSet,
 
 # -- tree instances -----------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TreeInstance:
     """Orbit tree of atom-sequence prefixes under Fix(base_support)."""
 
-    __slots__ = ("base", "base_support")
+    base: Sequence[HFAValue]
+    base_support: NDSet
 
-    def __init__(self, base: Sequence[HFAValue], base_support: NDSet):
-        base = tuple(base)
-        for x in base:
-            if not isinstance(x, Atom):
-                raise ValueError("demo tree instances take atom sequences")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "base_support", base_support)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeInstance is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "base", tuple(self.base))
+        if not all(isinstance(x, Atom) for x in self.base):
+            raise ValueError("demo tree instances take atom sequences")
 
     def prefix(self, n: int) -> SeqNode:
         if n > len(self.base):
@@ -178,22 +175,21 @@ def branch_from_shifts(inst: TreeInstance, s: Sequence[SeqNode],
 
 # -- direction: a branch to shifted maps ---------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class BranchCertificate:
     """Base values, a claimed branch over them, and maps carrying each
     base prefix onto the branch prefix of the same length."""
 
-    __slots__ = ("x", "t", "tau")
+    x: Sequence[HFAValue]
+    t: Sequence[HFAValue]
+    tau: Sequence[PLMap]
 
-    def __init__(self, x: Sequence[HFAValue], t: Sequence[HFAValue],
-                 tau: Sequence[PLMap]):
-        if not (len(x) == len(t) == len(tau)):
+    def __post_init__(self):
+        if not (len(self.x) == len(self.t) == len(self.tau)):
             raise ValueError("certificate components must have equal length")
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "t", tuple(t))
-        object.__setattr__(self, "tau", tuple(tau))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchCertificate is immutable")
+        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "t", tuple(self.t))
+        object.__setattr__(self, "tau", tuple(self.tau))
 
     def __len__(self):
         return len(self.x)

@@ -1122,3 +1122,45 @@ def test_verify_decodes_only_mismatched_shifted_records(
     assert run_cli("verify", "--stream", spec, "--out", str(out)) == 0
     assert decoded == increments + [blob["steps"][k]["shifted"]]
     capsys.readouterr()
+
+
+def test_theorem_witness_too_long_to_print_is_a_failed_check(tmp_path):
+    # H_1 = Fix({1, R}) with R = 10^-2150 is not inside H_0, the Fix of
+    # the tail of terms R^k: the escaping term R^2 has 4,301 digits, more
+    # than rat_str writes, so the failing record names no number
+    ratio = "1/1" + "0" * 2150
+    path = _theorem_with_groups(tmp_path, "long_witness.json", [
+        ([], [{"limit": "0", "coeff": "1", "ratio": ratio, "headDrop": 0}]),
+        (["1", ratio], [])])
+    proc = _cli("theorem", "--stream", str(path))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr) == {"failedClaim": "decreasing", "n": 0}
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert records[-1]["checks"] == 102
+    assert [r["detail"] for r in records
+            if r.get("check") == "decreasing" and r["n"] == 0] == [
+        "witness a rational too long to print"]
+
+
+def test_reader_errors_carry_one_prefix(tmp_path, capsys):
+    spec = str(SPECS / "dense_singletons.json")
+    out = tmp_path / "trace.json"
+    assert run_cli("construct", "--stream", spec, "--steps", "3",
+                   "--out", str(out)) == 0
+    blob = json.loads(out.read_text())
+    for step, record, key in ((1, "pi", "leftSlope"),
+                              (2, "sigma_next", "rightSlope")):
+        bad = json.loads(json.dumps(blob))
+        bad["steps"][step][record][key] = 1
+        out.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert run_cli("verify", "--stream", spec, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "input error: malformed map: rational must be a string\n")
+    stream = tmp_path / "stream.json"
+    stream.write_text(json.dumps({"increments": [{"points": [], "tails": [
+        {"limit": 1, "coeff": "1", "ratio": "1/2", "headDrop": 0}]}]}))
+    assert run_cli("construct", "--stream", str(stream), "--steps", "1",
+                   "--out", str(tmp_path / "out.json")) == 2
+    assert capsys.readouterr().err == (
+        "input error: malformed tail: rational must be a string\n")

@@ -63,3 +63,16 @@ def test_subgroups_reexports_the_ndsets_fix_test():
     from qshift import construction, ndsets, subgroups
     assert subgroups.fix_violation is ndsets.fix_violation
     assert construction.fix_violation is ndsets.fix_violation
+
+
+def test_only_the_normalizing_value_classes_guard_setattr():
+    # the classes whose constructors normalize on hot paths write their
+    # own slots and immutability guard; every other record is a dataclass
+    guarded = {node.name
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(item, ast.FunctionDef)
+                       and item.name == "__setattr__" for item in node.body)}
+    assert guarded == {"GeomTail", "NDSet", "PLMap", "Interval", "Atom",
+                       "SetNode", "SeqNode"}
