@@ -32,7 +32,7 @@ from .rationals import LimitError
 from .reporting import Report, write_rows
 from .serial import (SerializationError, canon_dumps, instance_from_obj,
                      read_json_file, stream_from_obj, stream_hash,
-                     trace_from_obj, trace_to_obj, write_json_file)
+                     trace_from_obj, trace_text, write_text_file)
 from .theorem import CertificateError, branch_from_shifts, shifts_from_branch
 
 EXIT_OK = 0
@@ -67,14 +67,15 @@ def _resolve_spec(name: str) -> str:
 def cmd_construct(args) -> int:
     stream = stream_from_obj(read_json_file(_resolve_spec(args.stream)))
     trace = run_shift_construction(stream, args.steps)
-    obj = trace_to_obj(trace, stream)
-    write_json_file(args.out, obj)
+    digest = stream_hash(stream)
+    # the whole text is built first: a trace with no text form writes no file
+    write_text_file(args.out, trace_text(trace, digest))
     report = verify_shift_trace(trace, stream)
     if not report.passed:
         write_rows(report.failed_rows(), sys.stderr)
         return EXIT_FAIL
     _emit({"command": "construct", "passed": True, "steps": len(trace.steps),
-           "out": args.out, "streamHash": obj["streamHash"]})
+           "out": args.out, "streamHash": digest})
     return EXIT_OK
 
 

@@ -20,12 +20,13 @@ membership oracles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
-from .plmaps import PLMap, squeeze_map
+from .plmaps import PLMap, invert_squeezes, squeeze_map
 from .rationals import Interval, Q, describe_rat, rat_str, simplest_between
 from .reporting import Report
 
@@ -153,6 +154,22 @@ def _merge_closed(intervals: Sequence[Tuple[Q, Q]]) -> List[Tuple[Q, Q]]:
     return out
 
 
+def _insert_closed(merged: List[Tuple[Q, Q]], a: Q,
+                   b: Q) -> List[Tuple[Q, Q]]:
+    """``_merge_closed(merged + [(a, b)])`` for sorted, disjoint closed
+    ``merged``: the intervals that meet or touch [a, b] are found by
+    bisection and merged with it, the others are kept as they are."""
+    if a > b:
+        raise ValueError("interval endpoints out of order")
+    # both ends increase along merged: the intervals from i on end at or
+    # above a, and those before j start at or below b
+    i = bisect_left(merged, a, key=itemgetter(1))
+    j = bisect_right(merged, b, i, key=itemgetter(0))
+    if i < j:
+        a, b = min(a, merged[i][0]), max(b, merged[j - 1][1])
+    return merged[:i] + [(a, b)] + merged[j:]
+
+
 def evacuate(c_fix: NDSet, c_move: NDSet,
              blocked: Sequence[Tuple[Q, Q]]) -> PLMap:
     """Map fixing ``c_fix`` pointwise whose image of ``c_move`` is
@@ -198,17 +215,18 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
         else:
             merged.append((u, v, [(a, b)]))
 
-    g = PLMap.identity()
+    # merged covers are disjoint and increasing: their squeeze maps are
+    # inverted together, in one pass
+    squeezes = []
     for u, v, blk in merged:
-        cover = Interval(u, v)
         targets = []
         cursor = u
         for a, b in blk:
             gap = c_move.find_gap(Interval(cursor, v))
             targets.append(((a, b), gap))
             cursor = gap.upper
-        g = g.compose(squeeze_map(cover, targets))
-    return g.invert()
+        squeezes.append(squeeze_map(Interval(u, v), targets))
+    return invert_squeezes(squeezes)
 
 
 # -- the recursion ------------------------------------------------------------
@@ -264,7 +282,7 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
         # kept merged, so evacuate's own merge walks a sorted list
-        blocked = _merge_closed(blocked + [(gap.lower, gap.upper)])
+        blocked = _insert_closed(blocked, gap.lower, gap.upper)
         # evacuate's covers lie in gaps of the closure of shifted, and
         # inside them shifted united with incoming looks like incoming
         # alone: the increment's image gives the moving set's map

@@ -386,6 +386,8 @@ class NDSet:
 
     def image(self, f: PLMap) -> "NDSet":
         """Exact image under an increasing piecewise-linear bijection."""
+        if f.is_identity:
+            return self  # normalized and immutable already
         pts: List[Q] = [f.apply(p) for p in self.points]
         tails: List[GeomTail] = []
         for t in self.tails:

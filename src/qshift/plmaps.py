@@ -293,4 +293,37 @@ def squeeze_map(cover: Interval,
     return PLMap._trusted(*_canonicalize(bps, Q(1), Q(1)))
 
 
-__all__ = ["PLMap", "squeeze_map", "OrderInconsistentTargets"]
+def invert_squeezes(squeezes: Sequence[PLMap]) -> PLMap:
+    """The inverse of the composite of squeeze maps whose covers are
+    disjoint and increasing, with no ``compose`` or ``invert``.
+
+    Each squeeze map is the identity outside its cover and has unit ray
+    slopes, so the composite's table is theirs laid end to end, identity
+    tables skipped.  Its inverse swaps inputs and outputs and inverts the
+    slopes.  A squeeze map that is not the identity fixes its cover's ends
+    but moves something between, so the table has two breakpoints at
+    least and needs no affine pinning.  Raises ValueError for maps that
+    are not the identity outside increasing, disjoint intervals.
+    """
+    xs: list = []
+    ys: list = []
+    slopes = [Q(1)]
+    for f in squeezes:
+        if not f.is_identity:
+            # unit rays through fixed end breakpoints: the identity outside
+            # [first, last]; and that interval lies beyond the previous one
+            if not (f._slopes[0] == f._slopes[-1] == 1
+                    and f._xs[0] == f._ys[0] and f._xs[-1] == f._ys[-1]
+                    and not (xs and f._xs[0] <= xs[-1])):
+                raise ValueError("maps must be the identity outside "
+                                 "increasing, disjoint intervals")
+            xs += f._xs
+            ys += f._ys
+            slopes += f._slopes[1:]
+    if not xs:
+        return _IDENTITY
+    return PLMap._trusted(tuple(ys), tuple(xs), tuple(1 / s for s in slopes))
+
+
+__all__ = ["PLMap", "squeeze_map", "invert_squeezes",
+           "OrderInconsistentTargets"]

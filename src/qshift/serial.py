@@ -297,36 +297,68 @@ def _decoded(value: Any) -> Any:
     return value.decode() if isinstance(value, Recorded) else value
 
 
-def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
-    steps = []
-    sigma = sigma_obj = None
+def _step_objs(trace: ShiftTrace):
+    """Each step's record, as ``trace_to_obj`` writes it.  A step holding
+    the same ``pi`` or ``sigma_next`` object as the step before holds the
+    same dict: an identity pi keeps sigma, and each run of one map is
+    encoded once."""
+    pi = sigma = None
     for st in trace.steps:
         # records are decoded outside the try: a malformed one raises its
         # own error
         shifted = _decoded(st.shifted)
         if st.sigma_next is not sigma:
-            # an identity pi keeps sigma: each run of one map is encoded once
             sigma = st.sigma_next
             sigma_map, sigma_obj = _decoded(sigma), None
         try:
+            if st.pi is not pi:
+                pi, pi_obj = st.pi, plmap_to_obj(st.pi)
             if sigma_obj is None:
                 sigma_obj = plmap_to_obj(sigma_map)
-            steps.append({
+            obj = {
                 "n": st.n,
                 "I": interval_to_obj(st.interval),
                 "J": interval_to_obj(st.gap),
-                "pi": plmap_to_obj(st.pi),
+                "pi": pi_obj,
                 "sigma_next": sigma_obj,
                 "shifted": ndset_to_obj(shifted),
-            })
+            }
         except ValueError as exc:
             # the recursion can grow a parsed coefficient past the digits
             # rat_str writes
             raise SerializationError(
                 f"step {st.n} holds a rational of more than {_MAX_DIGITS} "
                 "digits, which has no text form") from exc
+        yield obj
+
+
+def trace_to_obj(trace: ShiftTrace, stream: EStream) -> dict:
+    steps = list(_step_objs(trace))
     return {"streamHash": stream_hash(stream), "N": len(steps) - 1,
             "steps": steps}
+
+
+def trace_text(trace: ShiftTrace, digest: str) -> str:
+    """The trace file's text: ``canon_dumps(trace_to_obj(trace, stream))``
+    and a newline, where ``digest`` is ``stream_hash(stream)``.  Each step
+    is written in canonical key order with each value through
+    ``canon_dumps``; the text of a ``pi`` or ``sigma_next`` record the
+    step shares with the step before is reused, not encoded again."""
+    parts = []
+    pi = sigma = None
+    for obj in _step_objs(trace):
+        if obj["pi"] is not pi:
+            pi = obj["pi"]
+            pi_text = canon_dumps(pi)
+        if obj["sigma_next"] is not sigma:
+            sigma = obj["sigma_next"]
+            sigma_text = canon_dumps(sigma)
+        parts.append(f'{{"I":{canon_dumps(obj["I"])},'
+                     f'"J":{canon_dumps(obj["J"])},"n":{canon_dumps(obj["n"])},'
+                     f'"pi":{pi_text},"shifted":{canon_dumps(obj["shifted"])},'
+                     f'"sigma_next":{sigma_text}}}')
+    return (f'{{"N":{len(parts) - 1},"steps":[{",".join(parts)}],'
+            f'"streamHash":{canon_dumps(digest)}}}\n')
 
 
 _UNREAD = object()  # equal to no JSON value
@@ -409,7 +441,10 @@ def instance_from_obj(o: Any):
 
 
 def write_json_file(path: str, obj: Any) -> None:
-    text = canon_dumps(obj) + "\n"
+    write_text_file(path, canon_dumps(obj) + "\n")
+
+
+def write_text_file(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -433,6 +468,6 @@ __all__ = [
     "plmap_to_obj", "plmap_from_obj", "ndset_to_obj", "ndset_from_obj",
     "hfa_to_obj", "hfa_from_obj", "term_to_obj", "term_from_obj",
     "stream_to_obj", "stream_from_obj", "stream_hash", "Recorded",
-    "trace_to_obj", "trace_from_obj", "instance_from_obj",
-    "write_json_file", "read_json_file",
+    "trace_to_obj", "trace_text", "trace_from_obj", "instance_from_obj",
+    "write_json_file", "write_text_file", "read_json_file",
 ]

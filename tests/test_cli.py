@@ -653,6 +653,30 @@ def test_evacuation_error_exits_1_without_traceback(
     assert not out.exists()
 
 
+def test_construct_writes_no_file_for_a_trace_with_no_text(
+        monkeypatch, tmp_path, capsys):
+    # the whole text is built before --out is opened
+    real = cli.run_shift_construction
+    huge = Q(1, 3 ** 9100)
+
+    def grow(stream, upto):
+        steps = list(real(stream, upto).steps)
+        last = steps[-1]
+        steps[-1] = ShiftStep(last.n, last.interval, last.gap, last.pi,
+                              last.sigma_next, NDSet([huge], []))
+        return ShiftTrace(steps)
+
+    out = tmp_path / "trace.json"
+    monkeypatch.setattr(cli, "run_shift_construction", grow)
+    assert run_cli("construct", "--stream", "dense_singletons.json",
+                   "--steps", "3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: step 3 holds a rational of more "
+                            "than 4300 digits, which has no text form\n")
+    assert not out.exists()
+
+
 def test_boolean_head_drop_is_input_error(tmp_path):
     # JSON true would otherwise pass as the int 1
     stream = tmp_path / "stream.json"

@@ -8,7 +8,7 @@ import pytest
 
 from qshift import construction
 from qshift.construction import (EStream, EvacuationError, ShiftStep,
-                                 ShiftTrace, _merge_closed,
+                                 ShiftTrace, _insert_closed, _merge_closed,
                                  canonical_interval, evacuate, pair_index,
                                  rational_enum, run_shift_construction,
                                  verify_shift_trace, witness_subgroup)
@@ -723,3 +723,48 @@ def test_one_pass_covers_match_sorted_merge(monkeypatch):
         assert pi == evacuate_sorting_covers(c_fix, c_move, blocked)
         several += not pi.is_identity and len(_merge_closed(blocked)) > 1
     assert several >= 30, several
+
+
+def test_evacuate_neither_composes_nor_inverts(monkeypatch):
+    # the covers' squeeze tables are laid end to end and inverted in place
+    cases = [case for case in sweep_cases(Random(8080), 300)
+             if ordered_scan_outcome(*case)[0] == "moves"]
+    want = [evacuate_sorting_covers(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("evacuate composed or inverted a map")
+
+    monkeypatch.setattr(PLMap, "compose", refuse)
+    monkeypatch.setattr(PLMap, "invert", refuse)
+    assert [evacuate(*case) for case in cases] == want
+    assert sum(len(pi.breakpoints) > 2 for pi in want) >= 50
+
+
+# -- the recursion's blocked list, merged by insertion ------------------------
+
+def test_insert_closed_matches_merge_closed():
+    # ends on a grid of halves, so the new interval often touches, nests in
+    # or shares an end with a merged one
+    rng = Random(6161)
+
+    def closed():
+        return tuple(sorted(Q(rng.randint(-12, 12), 2) for _ in range(2)))
+
+    seen = dict.fromkeys(
+        ("apart", "touching", "nested", "equal end", "joins several"), 0)
+    for _ in range(3000):
+        merged = _merge_closed([closed() for _ in range(rng.randint(0, 7))])
+        before = list(merged)
+        a, b = closed()
+        got = _insert_closed(merged, a, b)
+        assert got == _merge_closed(merged + [(a, b)]), (merged, a, b)
+        assert merged == before
+        seen["apart"] += all(d < a or b < c for c, d in merged)
+        seen["touching"] += any(d == a or b == c for c, d in merged)
+        seen["nested"] += any(c <= a and b <= d or a <= c and d <= b
+                              for c, d in merged)
+        seen["equal end"] += any(c == a or d == b for c, d in merged)
+        seen["joins several"] += len(got) < len(merged)
+    assert min(seen.values()) >= 100, seen
+    with pytest.raises(ValueError, match="endpoints out of order"):
+        _insert_closed([(Q(0), Q(1))], Q(3), Q(2))

@@ -77,6 +77,21 @@ def test_image_cases():
     assert shifted == NDSet(tails=[GeomTail(1, 1, Q(1, 2))])
 
 
+def test_image_under_the_identity_is_the_set_itself(crowded_presentation):
+    # the presentation is normalized and immutable, so the identity's
+    # image is the set, whichever identity object is applied
+    rng = Random(41)
+    f = PLMap([(Q(1, 3), Q(1, 2))], Q(2), Q(1, 2))
+    identities = (PLMap.identity(), PLMap([(Q(5), Q(5))]), f.compose(f.invert()))
+    assert all(g.is_identity for g in identities)
+    for i in range(200):
+        e = NDSet(*crowded_presentation(rng)) if i % 2 else rng_ndset(rng)
+        rebuilt = NDSet(e.points, e.tails)
+        for g in identities:
+            img = e.image(g)
+            assert img is e and img == rebuilt
+
+
 def test_image_with_breakpoint_pointwise_oracle():
     tail = GeomTail(0, 1, Q(1, 2))
     e = NDSet(tails=[tail])

@@ -7,7 +7,8 @@ from qshift import construction, properties
 from qshift.construction import (EStream, rational_enum,
                                  run_shift_construction)
 from qshift.ndsets import NDSet, ndset_points
-from qshift.plmaps import OrderInconsistentTargets, PLMap, squeeze_map
+from qshift.plmaps import (OrderInconsistentTargets, PLMap, invert_squeezes,
+                           squeeze_map)
 from qshift.rationals import Interval, Q
 from qshift.sampling import (bump_in_gap, rng_distinct_rationals,
                              rng_geomtail, rng_plmap, rng_rational)
@@ -130,6 +131,44 @@ def test_squeeze_validates_geometry():
         squeeze_map(Interval(0, 10), [((Q(4), Q(6)), Interval(1, 11))])
     with pytest.raises(ValueError):
         squeeze_map(Interval(0, None), [])
+
+
+def test_invert_squeezes_matches_compose_then_invert():
+    rng = Random(2401)
+    several = skipped = 0
+    for _ in range(300):
+        squeezes = []
+        for k in range(rng.randint(0, 6)):
+            # cover (10k, 10k + 9); a blocked interval, or a point, and a
+            # gap on either side of it inside the cover; sometimes none
+            p = sorted(Q(20 * k + i, 2)
+                       for i in rng.sample(range(1, 18), 4))
+            blocked, gap = ((p[0], p[1]), Interval(p[2], p[3]))
+            if rng.random() < 0.5:
+                blocked, gap = ((p[2], p[3]), Interval(p[0], p[1]))
+            if rng.random() < 0.3:
+                blocked = (blocked[0], blocked[0])
+            targets = [] if rng.random() < 0.2 else [(blocked, gap)]
+            squeezes.append(squeeze_map(Interval(10 * k, 10 * k + 9),
+                                        targets))
+        want = PLMap.identity()
+        for f in squeezes:
+            want = want.compose(f)
+        got = invert_squeezes(squeezes)
+        assert got == want.invert() and got._slopes == want.invert()._slopes
+        assert_public(got)
+        moving = [not f.is_identity for f in squeezes]
+        several += sum(moving) >= 2
+        skipped += any(moving) and not all(moving)
+    assert several >= 100 and skipped >= 30, (several, skipped)
+    f = squeeze_map(Interval(0, 9), [((Q(1), Q(2)), Interval(5, 6))])
+    g = squeeze_map(Interval(3, 12), [((Q(4), Q(5)), Interval(7, 8))])
+    # overlapping or unordered covers; maps that move a ray
+    for bad in ([g, f], [f, g], [f, f], [f, PLMap.translation(1)],
+                [PLMap.translation(1)], [PLMap.scaling(2)],
+                [PLMap([(0, 0), (1, 2), (2, 3)])]):
+        with pytest.raises(ValueError, match="disjoint intervals"):
+            invert_squeezes(bad)
 
 
 def test_compose_matches_pointwise_oracle():

@@ -1,21 +1,25 @@
 import json
+from importlib import resources
 from random import Random
 
 import pytest
 
-from qshift.construction import (EStream, run_shift_construction,
+from qshift.construction import (EStream, ShiftStep, ShiftTrace,
+                                 rational_enum, run_shift_construction,
                                  witness_subgroup)
 from qshift.hfa import Atom, SeqNode, SetNode
 from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Interval, Q
-from qshift.sampling import rng_hfa, rng_ndset, rng_plmap
+from qshift.sampling import (rng_geomtail, rng_hfa, rng_ndset, rng_plmap,
+                             rng_rational)
 from qshift.serial import (Recorded, SerializationError, canon_dumps,
                            hfa_from_obj, hfa_to_obj, interval_from_obj,
                            interval_to_obj, ndset_from_obj, ndset_to_obj,
                            plmap_from_obj, plmap_to_obj, stream_from_obj,
-                           stream_hash, stream_to_obj, term_from_obj,
-                           term_to_obj, trace_from_obj, trace_to_obj)
+                           read_json_file, stream_hash, stream_to_obj,
+                           term_from_obj, term_to_obj, trace_from_obj,
+                           trace_text, trace_to_obj)
 from qshift.subgroups import FULL_GROUP, Conj, Fix, Inter, Stab
 
 
@@ -175,3 +179,55 @@ def test_decoded_trace_reencodes_canonically():
     parsed = trace_from_obj(obj)[0]
     assert parsed == trace and trace == parsed
     assert canon_dumps(trace_to_obj(parsed, stream)) == blob
+
+
+# -- the trace text against the dict encoding --------------------------------
+
+def writer_cases():
+    """(stream, steps): the bundled specs, the 60-step singleton stream and
+    seeded streams of one point and one tail per increment."""
+    specs = resources.files("qshift").joinpath("specs")
+    for name in ("dense_singletons.json", "tail_start.json", "empty.json"):
+        yield stream_from_obj(read_json_file(str(specs / name))), 15
+    yield EStream([ndset_points(rational_enum(i)) for i in range(62)]), 60
+    rng = Random(2424)
+    for _ in range(6):
+        yield EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                       for _ in range(14)]), 12
+
+
+def test_trace_text_is_the_dict_encoding():
+    kept = moved = 0  # sigma_next runs: repeated, and new after a repeat
+    for stream, steps in writer_cases():
+        trace = run_shift_construction(stream, steps)
+        text = trace_text(trace, stream_hash(stream))
+        assert text == canon_dumps(trace_to_obj(trace, stream)) + "\n"
+        # a trace read back holds undecoded records, and writes the same
+        parsed = trace_from_obj(json.loads(text))[0]
+        assert trace_text(parsed, stream_hash(stream)) == text
+        sigmas = [st.sigma_next for st in trace.steps]
+        same = [b is a for a, b in zip(sigmas, sigmas[1:])]
+        kept += sum(same)
+        moved += sum(a and not b for a, b in zip(same, same[1:]))
+    assert kept >= 100 and moved >= 10, (kept, moved)
+
+
+def test_trace_with_no_text_form_is_refused_by_both_writers():
+    # the recursion can grow a rational past the 4300 digits rat_str
+    # writes; both writers name the step that holds it
+    huge = Q(1, 3 ** 9100)
+    stream = EStream([ndset_points(Q(0)), ndset_points(Q(1))])
+    step = run_shift_construction(stream, 0).steps[0]
+    wide = PLMap([(Q(0), Q(0)), (Q(1), 1 + huge)])
+    for field, value in (("shifted", NDSet([huge, Q(1)], [])), ("pi", wide),
+                         ("sigma_next", wide)):
+        fields = {"n": 1, "interval": step.interval, "gap": step.gap,
+                  "pi": step.pi, "sigma_next": step.sigma_next,
+                  "shifted": step.shifted, field: value}
+        trace = ShiftTrace([step, ShiftStep(**fields)])
+        for write in (lambda: trace_to_obj(trace, stream),
+                      lambda: trace_text(trace, stream_hash(stream))):
+            with pytest.raises(SerializationError) as err:
+                write()
+            assert str(err.value) == ("step 1 holds a rational of more than "
+                                      "4300 digits, which has no text form")
