@@ -6,8 +6,9 @@ can be compared byte for byte.  Readers are strict: any shape violation
 raises SerializationError, which the CLI maps to its I/O exit code.  The
 trace reader keeps the records the verifier only compares, ``shifted``
 and ``sigma_next``, as parsed JSON (``Recorded``): they are checked, and
-decoded, when compared, and only when their canonical text differs from
-that of the value replayed.
+decoded, when compared, and only when they differ, as JSON values, from
+the encoding of the value replayed.  It parses each rational text of the
+other fields once per read, through a memo dropped when the read returns.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ def _rat_from(o: Any, what: str) -> Q:
         raise SerializationError(f"malformed {what}: {exc}") from exc
 
 
+def _memo_rat(memo: dict):
+    """``_rat_from`` that keeps each text it parsed, and its value, in
+    ``memo``: a text that fails is not kept, so it fails again, with the
+    same error, wherever it recurs."""
+    def rat(o: Any, what: str) -> Q:
+        q = memo.get(o) if isinstance(o, str) else None
+        if q is None:
+            q = memo[o] = _rat_from(o, what)
+        return q
+    return rat
+
+
 # -- intervals ---------------------------------------------------------------
 
 def interval_to_obj(iv: Interval) -> dict:
@@ -71,10 +84,10 @@ def interval_to_obj(iv: Interval) -> dict:
     }
 
 
-def interval_from_obj(o: Any) -> Interval:
+def interval_from_obj(o: Any, rat=_rat_from) -> Interval:
     _need(o, ("lower", "upper"), "interval")
-    lo = None if o["lower"] is None else _rat_from(o["lower"], "interval")
-    hi = None if o["upper"] is None else _rat_from(o["upper"], "interval")
+    lo = None if o["lower"] is None else rat(o["lower"], "interval")
+    hi = None if o["upper"] is None else rat(o["upper"], "interval")
     try:
         return Interval(lo, hi)
     except ValueError as exc:
@@ -91,7 +104,7 @@ def plmap_to_obj(f: PLMap) -> dict:
     }
 
 
-def plmap_from_obj(o: Any) -> PLMap:
+def plmap_from_obj(o: Any, rat=_rat_from) -> PLMap:
     _need(o, ("breakpoints", "leftSlope", "rightSlope"), "map")
     if not isinstance(o["breakpoints"], list) or not o["breakpoints"]:
         raise SerializationError(
@@ -101,9 +114,9 @@ def plmap_from_obj(o: Any) -> PLMap:
         if not (isinstance(item, list) and len(item) == 2):
             raise SerializationError(
                 "malformed map: breakpoint must be a pair")
-        bps.append((_rat_from(item[0], "map"), _rat_from(item[1], "map")))
-    left = _rat_from(o["leftSlope"], "map")
-    right = _rat_from(o["rightSlope"], "map")
+        bps.append((rat(item[0], "map"), rat(item[1], "map")))
+    left = rat(o["leftSlope"], "map")
+    right = rat(o["rightSlope"], "map")
     try:
         return PLMap(bps, left, right)
     except ValueError as exc:
@@ -112,13 +125,14 @@ def plmap_from_obj(o: Any) -> PLMap:
 
 # -- nowhere-dense sets --------------------------------------------------------
 
+def _tail_obj(t: GeomTail) -> dict:
+    return {"limit": rat_str(t.limit), "coeff": rat_str(t.coeff),
+            "ratio": rat_str(t.ratio), "headDrop": 0}
+
+
 def ndset_to_obj(e: NDSet) -> dict:
-    return {
-        "points": [rat_str(p) for p in e.points],
-        "tails": [{"limit": rat_str(t.limit), "coeff": rat_str(t.coeff),
-                   "ratio": rat_str(t.ratio), "headDrop": 0}
-                  for t in e.tails],
-    }
+    return {"points": [rat_str(p) for p in e.points],
+            "tails": [_tail_obj(t) for t in e.tails]}
 
 
 def ndset_from_obj(o: Any) -> NDSet:
@@ -258,11 +272,14 @@ class Recorded:
     ``kind`` is the class of value the record encodes (``NDSet`` or
     ``PLMap``); it names the record's reader and writer.  The verifier
     only compares a record with the value it re-derives, so the record is
-    decoded only when its canonical text differs from that of the derived
-    value's encoding: a record with the same text as the encoding of a
-    canonical value decodes to that value.  The decode keeps every
-    verdict of a full decode: an equal record that is not in normal form
-    still compares equal, and a malformed one raises SerializationError.
+    decoded only when it differs from the derived value's encoding,
+    compared as JSON values with ``==``.  On these shapes that is
+    canonical-text equality, once every ``headDrop`` is an ``int``:
+    ``false``, ``0.0`` and ``-0.0`` equal ``0`` in Python only.  A record
+    equal to the encoding of a canonical value decodes to that value.  The
+    decode keeps every verdict of a full decode: an equal record that is
+    not in normal form still compares equal, and a malformed one raises
+    SerializationError.
     """
 
     raw: Any
@@ -278,12 +295,16 @@ class Recorded:
             return NotImplemented
         read, write = _codec(self.kind)
         try:
-            same_text = canon_dumps(write(other)) == canon_dumps(self.raw)
+            same = write(other) == self.raw
         except ValueError:
             # a rational of more than _MAX_DIGITS digits has no text, and
             # no record read from JSON holds one
-            same_text = False
-        return same_text or read(self.raw) == other
+            same = False
+        if same and self.kind is NDSet:
+            # the one place where JSON values equal in Python differ in
+            # text: a headDrop of false, 0.0 or -0.0 equals 0
+            same = all(type(t["headDrop"]) is int for t in self.raw["tails"])
+        return same or read(self.raw) == other
 
 
 def _codec(kind: type):
@@ -297,11 +318,11 @@ def _decoded(value: Any) -> Any:
     return value.decode() if isinstance(value, Recorded) else value
 
 
-def _step_objs(trace: ShiftTrace):
-    """Each step's record, as ``trace_to_obj`` writes it.  A step holding
-    the same ``pi`` or ``sigma_next`` object as the step before holds the
-    same dict: an identity pi keeps sigma, and each run of one map is
-    encoded once."""
+def _step_objs(trace: ShiftTrace, shifted_obj=ndset_to_obj):
+    """Each step's record, as ``trace_to_obj`` writes it, with ``shifted``
+    written by ``shifted_obj``.  A step holding the same ``pi`` or
+    ``sigma_next`` object as the step before holds the same dict: an
+    identity pi keeps sigma, and each run of one map is encoded once."""
     pi = sigma = None
     for st in trace.steps:
         # records are decoded outside the try: a malformed one raises its
@@ -321,7 +342,7 @@ def _step_objs(trace: ShiftTrace):
                 "J": interval_to_obj(st.gap),
                 "pi": pi_obj,
                 "sigma_next": sigma_obj,
-                "shifted": ndset_to_obj(shifted),
+                "shifted": shifted_obj(shifted),
             }
         except ValueError as exc:
             # the recursion can grow a parsed coefficient past the digits
@@ -343,10 +364,28 @@ def trace_text(trace: ShiftTrace, digest: str) -> str:
     and a newline, where ``digest`` is ``stream_hash(stream)``.  Each step
     is written in canonical key order with each value through
     ``canon_dumps``; the text of a ``pi`` or ``sigma_next`` record the
-    step shares with the step before is reused, not encoded again."""
+    step shares with the step before is reused, not encoded again.  A
+    ``shifted`` set is joined from the text of each point and tail, kept
+    by identity for the whole trace: the recursion carries the members of
+    ``shifted_n`` into ``shifted_{n+1}`` as the same objects."""
+    # id(member) -> (member, its text): holding the member keeps its id
+    # from being taken by another object while the trace is written
+    texts = {}
+
+    def text(member, obj_of):
+        got = texts.get(id(member))
+        if got is None:
+            got = texts[id(member)] = member, canon_dumps(obj_of(member))
+        return got[1]
+
+    def shifted_text(e: NDSet) -> str:
+        points = ",".join([text(p, rat_str) for p in e.points])
+        tails = ",".join([text(t, _tail_obj) for t in e.tails])
+        return f'{{"points":[{points}],"tails":[{tails}]}}'
+
     parts = []
     pi = sigma = None
-    for obj in _step_objs(trace):
+    for obj in _step_objs(trace, shifted_text):
         if obj["pi"] is not pi:
             pi = obj["pi"]
             pi_text = canon_dumps(pi)
@@ -355,7 +394,7 @@ def trace_text(trace: ShiftTrace, digest: str) -> str:
             sigma_text = canon_dumps(sigma)
         parts.append(f'{{"I":{canon_dumps(obj["I"])},'
                      f'"J":{canon_dumps(obj["J"])},"n":{canon_dumps(obj["n"])},'
-                     f'"pi":{pi_text},"shifted":{canon_dumps(obj["shifted"])},'
+                     f'"pi":{pi_text},"shifted":{obj["shifted"]},'
                      f'"sigma_next":{sigma_text}}}')
     return (f'{{"N":{len(parts) - 1},"steps":[{",".join(parts)}],'
             f'"streamHash":{canon_dumps(digest)}}}\n')
@@ -381,8 +420,10 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     # and a malformed one raised at its first occurrence: each run of
     # equal records is decoded once.  sigma_next and shifted records stay
     # undecoded until they are compared (Recorded); a run of equal
-    # sigma_next records shares one record
+    # sigma_next records shares one record.  Each rational text of I, J
+    # and pi is parsed once per read: the memo is dropped on return
     pi_obj = sigma_obj = _UNREAD
+    rat = _memo_rat({})
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
         if not _is_int(s["n"]):
@@ -390,14 +431,14 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
         if s["n"] != i:
             raise SerializationError(f"malformed trace step {i}: n must equal "
                                      "the step's position (0, 1, 2, ...)")
-        gap = interval_from_obj(s["J"])
+        gap = interval_from_obj(s["J"], rat)
         if gap.lower is None or gap.upper is None:
             # the verifier tests every gap as a closed interval
             raise SerializationError(
                 f"malformed trace step {i}: J must be bounded")
-        interval = interval_from_obj(s["I"])
+        interval = interval_from_obj(s["I"], rat)
         if s["pi"] != pi_obj:
-            pi_obj, pi = s["pi"], plmap_from_obj(s["pi"])
+            pi_obj, pi = s["pi"], plmap_from_obj(s["pi"], rat)
         if s["sigma_next"] != sigma_obj:
             sigma_obj = s["sigma_next"]
             sigma = Recorded(sigma_obj, PLMap)

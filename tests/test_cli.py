@@ -1034,6 +1034,55 @@ def test_lazy_verify_matches_eager_on_every_field_mutation(
     assert len(codes) == 673 and set(codes) == {1, 2}
 
 
+def _field_mutations(text):
+    """The corpus of test_verify_survives_every_field_mutation: the trace
+    ``text`` with one dict value or list item replaced."""
+    for path in _json_paths(json.loads(text)):
+        for value in (None, 7, [], {}, "1/0", "2"):
+            mutated = json.loads(text)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            if node[path[-1]] != value:
+                node[path[-1]] = value
+                yield mutated
+
+
+def verify_with_fresh_parses(monkeypatch, capsys, spec, trace):
+    """verify's (exit code, stdout, stderr), asserted equal to what it
+    gives when the trace reader parses every rational text afresh."""
+    runs = []
+    for fresh in (False, True):
+        with monkeypatch.context() as m:
+            if fresh:
+                m.setattr(serial, "_memo_rat", lambda memo: serial._rat_from)
+            capsys.readouterr()
+            code = run_cli("verify", "--stream", str(spec), "--out", str(trace))
+            runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_memoized_parse_matches_fresh_parse(tmp_path, capsys, monkeypatch):
+    out, bad = tmp_path / "trace.json", tmp_path / "bad.json"
+    for name in ("dense_singletons.json", "tail_start.json", "empty.json"):
+        spec = SPECS / name
+        assert run_cli("construct", "--stream", str(spec), "--steps", "15",
+                       "--out", str(out)) == 0
+        code, text, err = verify_with_fresh_parses(monkeypatch, capsys, spec,
+                                                   out)
+        assert code == 0 and err == "" and '"passed":true' in text
+    spec = SPECS / "dense_singletons.json"
+    assert run_cli("construct", "--stream", str(spec), "--steps", "3",
+                   "--out", str(out)) == 0
+    codes = []
+    for mutated in _field_mutations(out.read_text()):
+        bad.write_text(json.dumps(mutated))
+        codes.append(verify_with_fresh_parses(monkeypatch, capsys, spec,
+                                              bad)[0])
+    assert len(codes) == 673 and set(codes) == {1, 2}
+
+
 def test_shifted_record_is_read_after_every_other_field(tmp_path, capsys):
     # verify decodes a recorded shifted set when it compares it, after the
     # whole trace was read: a later step's malformed map is reported before

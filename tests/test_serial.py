@@ -1,16 +1,19 @@
+import gc
 import json
+import tracemalloc
 from importlib import resources
 from random import Random
 
 import pytest
 
+from qshift import serial
 from qshift.construction import (EStream, ShiftStep, ShiftTrace,
                                  rational_enum, run_shift_construction,
                                  witness_subgroup)
 from qshift.hfa import Atom, SeqNode, SetNode
 from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
-from qshift.rationals import Interval, Q
+from qshift.rationals import Interval, Q, parse_rational
 from qshift.sampling import (rng_geomtail, rng_hfa, rng_ndset, rng_plmap,
                              rng_rational)
 from qshift.serial import (Recorded, SerializationError, canon_dumps,
@@ -231,3 +234,133 @@ def test_trace_with_no_text_form_is_refused_by_both_writers():
                 write()
             assert str(err.value) == ("step 1 holds a rational of more than "
                                       "4300 digits, which has no text form")
+
+
+# -- record comparison against the canonical-text rule ------------------------
+
+def text_rule_eq(rec, value):
+    """``rec == value`` by the canonical-text rule: equal when the record's
+    canonical text is that of the value's encoding, else decode and
+    compare."""
+    read, write = ((ndset_from_obj, ndset_to_obj) if rec.kind is NDSet
+                   else (plmap_from_obj, plmap_to_obj))
+    try:
+        same = canon_dumps(write(value)) == canon_dumps(rec.raw)
+    except ValueError:
+        same = False
+    return same or read(rec.raw) == value
+
+
+def _verdict(compare):
+    try:
+        return bool(compare())
+    except SerializationError as exc:
+        return f"error: {exc}"
+
+
+def _hostile(raw):
+    """(label, record) variants of a set or map record: look-alike values,
+    texts out of normal form, wrong shapes."""
+    def edit(fn):
+        out = json.loads(json.dumps(raw))
+        fn(out)
+        return out
+    yield "list", [raw]
+    yield "string", canon_dumps(raw)
+    yield "missing key", edit(lambda r: r.pop(sorted(r)[0]))
+    yield "extra key", edit(lambda r: r.update(note="x"))
+    if "tails" in raw:
+        for drop in (False, 0.0, -0.0, True, 1, "0"):
+            if raw["tails"]:
+                yield f"headDrop {drop!r}", edit(
+                    lambda r, d=drop: r["tails"][0].__setitem__("headDrop", d))
+        if raw["points"]:
+            p = raw["points"][0]
+            yield "number", edit(lambda r: r["points"].__setitem__(0, 3))
+            num, _, den = p.partition("/")
+            yield "2p/2q", edit(lambda r: r["points"].__setitem__(
+                0, f"{2 * int(num)}/{2 * int(den or 1)}"))
+        if len(raw["points"]) > 1:
+            yield "unsorted", edit(lambda r: r["points"].reverse())
+    else:
+        y = raw["breakpoints"][0][1]
+        yield "number", edit(lambda r: r["breakpoints"][0].__setitem__(0, 0))
+        num, _, den = y.partition("/")
+        yield "2p/2q", edit(lambda r: r["breakpoints"][0].__setitem__(
+            1, f"{2 * int(num)}/{2 * int(den or 1)}"))
+        if len(raw["breakpoints"]) > 1:
+            yield "unsorted", edit(lambda r: r["breakpoints"].reverse())
+
+
+def test_record_comparison_matches_the_canonical_text_rule():
+    huge = Q(1, 3 ** 9100)
+    seen = {}  # label -> verdicts met
+    for stream, steps in writer_cases():
+        trace = run_shift_construction(stream, steps)
+        parsed = trace_from_obj(json.loads(trace_text(trace, "")))[0]
+        for k, (st, rd) in enumerate(zip(trace.steps, parsed.steps)):
+            other = trace.steps[k - 1]
+            for rec, value, unequal, long in (
+                    (rd.shifted, st.shifted, other.shifted,
+                     NDSet([huge, *st.shifted.points], st.shifted.tails)),
+                    (rd.sigma_next, st.sigma_next, other.sigma_next,
+                     PLMap([(Q(-1), Q(-1)), (Q(0), huge)]))):
+                variants = [("intact", rec.raw), *_hostile(rec.raw)]
+                for label, raw in variants:
+                    r = Recorded(raw, rec.kind)
+                    for v in (value, unequal, long):
+                        want = _verdict(lambda: text_rule_eq(r, v))
+                        assert _verdict(lambda: r == v) == want, (label, k)
+                        assert _verdict(lambda: v == r) == want, (label, k)
+                        seen.setdefault(label, set()).add(
+                            want if isinstance(want, bool) else "error")
+                assert _verdict(lambda: rec == value) is True
+    assert len(seen) == 14, sorted(seen)
+    assert seen["intact"] == {True, False}
+    # look-alikes of a headDrop of 0 are refused, not read as 0
+    for drop in ("False", "0.0", "-0.0", "True", "'0'"):
+        assert seen[f"headDrop {drop}"] == {"error"}, drop
+
+
+# -- each rational text of a trace is parsed once per read --------------------
+
+def test_each_rational_text_is_parsed_once_per_read(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_rational(text)
+    monkeypatch.setattr(serial, "parse_rational", counted)
+    for stream, steps in writer_cases():
+        obj = json.loads(trace_text(run_shift_construction(stream, steps), ""))
+        texts = {t for s in obj["steps"]
+                 for t in (*s["I"].values(), *s["J"].values(),
+                           *(x for bp in s["pi"]["breakpoints"] for x in bp),
+                           s["pi"]["leftSlope"], s["pi"]["rightSlope"])
+                 if t is not None}
+        for _ in range(2):  # and again on a second read
+            calls.clear()
+            trace_from_obj(obj)
+            assert sorted(calls) == sorted(texts)
+
+
+def test_trace_reads_keep_no_memo():
+    # the parse memo lives for one read: after it, the net allocation is
+    # what it was before, however many reads there were
+    point = EStream([ndset_points(rational_enum(i)) for i in range(62)])
+    obj = json.loads(trace_text(run_shift_construction(point, 60), ""))
+    warm = json.loads(trace_text(run_shift_construction(point, 5), ""))
+
+    def net_after(reads):
+        for _ in range(reads):
+            trace_from_obj(obj)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    tracemalloc.start()
+    try:
+        trace_from_obj(warm)  # first-use allocations of the reader
+        base = net_after(0)
+        grown = [net_after(1) - base, net_after(50) - base]
+    finally:
+        tracemalloc.stop()
+    assert max(grown) < 2000, grown
