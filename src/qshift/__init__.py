@@ -10,7 +10,7 @@ from .construction import (EStream, EvacuationError, ShiftTrace,
 from .hfa import Atom, SeqNode, SetNode, act, atom_seq, atoms_support, in_sym
 from .ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from .plmaps import PLMap, squeeze_map
-from .rationals import Interval, LimitError, rat, rat_str
+from .rationals import Interval, LimitError, QshiftError, rat, rat_str
 from .reporting import Check, Report
 from .subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
                         ShiftProblem, Stab, check_shift_witness, fix_leq,
@@ -22,7 +22,7 @@ from .theorem import (BranchCertificate, CertificateError, TreeInstance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "Q", "Interval", "LimitError", "rat", "rat_str",
+    "BACKEND", "Q", "Interval", "LimitError", "QshiftError", "rat", "rat_str",
     "PLMap", "squeeze_map",
     "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points",
     "Atom", "SetNode", "SeqNode", "atom_seq", "act", "atoms_support", "in_sym",

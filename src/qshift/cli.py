@@ -9,10 +9,15 @@ Subcommands:
   theorem instance.
 * ``props``     -- run the seeded property suites.
 
-Exit codes: 0 all checks passed, 1 a semantic check failed (or the
-recursion found no map evacuating a gap), 2 unreadable or ill-formed
-input, or a query past an explicit size limit.  Reports are JSON lines;
-identical configurations produce byte-identical files and output.
+Reports are JSON lines; identical configurations produce byte-identical
+files and output.  Exit codes: 0 all checks passed, 1 a check failed, 2 a
+refused command line.  Any other refusal is a ``QshiftError``, printed as
+``label: message``; its class sets the label and the exit code:
+
+    serial.SerializationError     input error        2
+    rationals.LimitError          limit error        2
+    construction.EvacuationError  evacuation error   1
+    theorem.CertificateError      certificate error  1
 """
 
 from __future__ import annotations
@@ -25,23 +30,17 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .construction import (EvacuationError, run_shift_construction,
-                           verify_shift_trace)
+from .construction import run_shift_construction, verify_shift_trace
 from .properties import run_properties
-from .rationals import LimitError
+from .rationals import QshiftError
 from .reporting import Report, write_rows
-from .serial import (SerializationError, canon_dumps, instance_from_obj,
-                     read_json_file, stream_from_obj, stream_hash,
-                     trace_from_obj, trace_text, write_text_file)
-from .theorem import CertificateError, branch_from_shifts, shifts_from_branch
+from .serial import (_MAX_STEPS, SerializationError, canon_dumps,
+                     instance_from_obj, read_json_file, stream_from_obj,
+                     stream_hash, trace_from_obj, trace_text, write_text_file)
+from .theorem import branch_from_shifts, shifts_from_branch
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_IO = 2
-
-# construct --steps above this is refused at parse time: the recursion's
-# cost grows about quadratically in the steps
-_MAX_STEPS = 10_000
 
 
 def _emit(obj, stream=None) -> None:
@@ -191,18 +190,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         # looked up at call time, so a replaced cmd_* is the one called
         return globals()["cmd_" + args.command](args)
-    except SerializationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except LimitError as exc:
-        print(f"limit error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CertificateError as exc:
-        print(f"certificate error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except EvacuationError as exc:
-        print(f"evacuation error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except QshiftError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

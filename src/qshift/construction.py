@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap, invert_squeezes, squeeze_map
-from .rationals import Interval, Q, describe_rat, rat_str, simplest_between
+from .rationals import (Interval, Q, QshiftError, describe_rat, rat_str,
+                        simplest_between)
 from .reporting import Report
 
 if TYPE_CHECKING:
@@ -128,8 +129,10 @@ class EStream:
 
 # -- evacuation --------------------------------------------------------------
 
-class EvacuationError(ValueError):
+class EvacuationError(QshiftError):
     """A blocked interval meets the closure of the set to be fixed."""
+    exit_code = 1
+    label = "evacuation error"
 
     def __init__(self, witness: Q, blocked: Tuple[Q, Q]):
         self.witness = witness

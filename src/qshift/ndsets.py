@@ -25,23 +25,22 @@ from .rationals import (Interval, LimitError, Q, rat, rat_str,
 _MAX_EXPONENT = 1 << 40
 
 
-def _min_pow_lt(r: Q, bound: Q, strict: bool = True) -> Optional[int]:
-    """Minimal k >= 0 with r**k < bound (<= when strict=False); None if no k."""
+def _min_pow_lt(r: Q, bound: Q) -> Optional[int]:
+    """Minimal k >= 0 with r**k <= bound; None if no k."""
     if bound <= 0:
         return None
-    one = Q(1)
-    if (one < bound) if strict else (one <= bound):
+    if bound >= 1:
         return 0
     # exponential then binary search on the exponent
     hi = 1
-    while not ((r ** hi < bound) if strict else (r ** hi <= bound)):
+    while r ** hi > bound:
         if hi >= _MAX_EXPONENT:
             raise LimitError(f"power search past exponent {_MAX_EXPONENT}")
         hi *= 2
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if (r ** mid < bound) if strict else (r ** mid <= bound):
+        if r ** mid <= bound:
             hi = mid
         else:
             lo = mid
@@ -153,7 +152,8 @@ class GeomTail:
     def first_k_inside(self, x: Q) -> Optional[int]:
         """Minimal k with term(k) strictly between the limit and x; None
         when x is not on the terms' side of the limit."""
-        return _min_pow_lt(self.ratio, (x - self.limit) / self.coeff)
+        k = _min_pow_lt(self.ratio, (x - self.limit) / self.coeff)
+        return k + 1 if k is not None and self.term(k) == x else k
 
     def neighbours(self, q: Q) -> Tuple[Optional[Q], Optional[Q]]:
         """Closure points of the tail nearest to q strictly below and
@@ -168,9 +168,11 @@ class GeomTail:
         if t < 0:
             under, over = None, self.limit
         else:
-            # the largest power of ratio below t, and the smallest above
-            under = self.term(_min_pow_lt(self.ratio, t))
-            k = _min_pow_lt(self.ratio, t, strict=False)
+            # ratio**k <= t; term k is q itself when they are equal
+            k = _min_pow_lt(self.ratio, t)
+            under = self.term(k)
+            if under == q:
+                under = self.term(k + 1)
             over = self.term(k - 1) if k else None
         return (under, over) if self.coeff > 0 else (over, under)
 
@@ -184,8 +186,7 @@ class GeomTail:
         # candidate is the largest power of ratio not above the t of the
         # end farther from the limit: the term nearest that end
         far = b if self.coeff > 0 else a
-        w = self.term(_min_pow_lt(self.ratio, (far - self.limit) / self.coeff,
-                                  strict=False))
+        w = self.term(_min_pow_lt(self.ratio, (far - self.limit) / self.coeff))
         return w if a <= w <= b else None
 
 

@@ -21,10 +21,6 @@ from .rationals import Interval, Q, rat, rat_str
 BreakpointList = Tuple[Tuple[Q, Q], ...]
 
 
-class OrderInconsistentTargets(ValueError):
-    """Raised when squeeze targets admit no increasing map."""
-
-
 def _canonicalize(bps, left_slope, right_slope):
     """The inputs and outputs of the kept breakpoints, and the slopes of
     the pieces they bound: piece i runs from breakpoint i-1 to breakpoint
@@ -255,8 +251,8 @@ def squeeze_map(cover: Interval,
 
     Deterministic rule: blocked endpoints go to the endpoints of the
     gap's middle third (to its midpoint for a degenerate blocked
-    interval).  Raises :class:`OrderInconsistentTargets` when the
-    requested images cannot be ordered increasingly.
+    interval).  Raises ``ValueError`` when the requested images cannot
+    be ordered increasingly.
     """
     if not cover.is_finite:
         raise ValueError("cover must have rational endpoints")
@@ -286,7 +282,7 @@ def squeeze_map(cover: Interval,
     bps.append((d, d))
     for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
         if not (x0 < x1 and y0 < y1):
-            raise OrderInconsistentTargets(
+            raise ValueError(
                 f"images not increasing near ({rat_str(x0)}, {rat_str(y0)})")
     # the check above is the public constructor's order check, and the
     # ray slopes are 1, so only canonicalization is left to do
@@ -325,5 +321,4 @@ def invert_squeezes(squeezes: Sequence[PLMap]) -> PLMap:
     return PLMap._trusted(tuple(ys), tuple(xs), tuple(1 / s for s in slopes))
 
 
-__all__ = ["PLMap", "squeeze_map", "invert_squeezes",
-           "OrderInconsistentTargets"]
+__all__ = ["PLMap", "squeeze_map", "invert_squeezes"]

@@ -23,8 +23,15 @@ _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 _MAX_DIGITS = 4300
 
 
-class LimitError(ValueError):
+class QshiftError(ValueError):
+    """A refusal: the CLI prints ``label: message`` and exits ``exit_code``."""
+    exit_code = 2
+    label = "input error"
+
+
+class LimitError(QshiftError):
     """A query whose exact answer lies past an explicit size limit."""
+    label = "limit error"
 
 
 def rat(value: RatLike) -> Q:
@@ -201,6 +208,7 @@ class Interval:
 
 
 __all__ = [
-    "BACKEND", "Q", "Interval", "LimitError", "rat", "parse_rational",
-    "rat_str", "describe_rat", "floor_rat", "ceil_rat", "simplest_between",
+    "BACKEND", "Q", "Interval", "LimitError", "QshiftError", "rat",
+    "parse_rational", "rat_str", "describe_rat", "floor_rat", "ceil_rat",
+    "simplest_between",
 ]

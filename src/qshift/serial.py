@@ -3,7 +3,7 @@
 Writers emit canonical presentations (sorted keys, compact separators,
 sorted set elements), so serialization is deterministic and golden files
 can be compared byte for byte.  Readers are strict: any shape violation
-raises SerializationError, which the CLI maps to its I/O exit code.  The
+raises SerializationError, which the CLI maps to exit code 2.  The
 trace reader keeps the records the verifier only compares, ``shifted``
 and ``sigma_next``, as parsed JSON (``Recorded``): they are checked, and
 decoded, when compared, and only when they differ, as JSON values, from
@@ -22,14 +22,15 @@ from .construction import EStream, ShiftStep, ShiftTrace
 from .hfa import Atom, HFAValue, SeqNode, SetNode
 from .ndsets import GeomTail, NDSet
 from .plmaps import PLMap
-from .rationals import _MAX_DIGITS, Interval, Q, parse_rational, rat_str
+from .rationals import (_MAX_DIGITS, Interval, Q, QshiftError, parse_rational,
+                        rat_str)
 from .subgroups import (FULL_GROUP, Conj, Fix, Inter, Stab, SubgroupTerm,
                         _FullGroup, normalize)
 from .theorem import BranchCertificate, TreeInstance
 
 
-class SerializationError(ValueError):
-    pass
+class SerializationError(QshiftError):
+    """Unreadable or ill-formed input."""
 
 
 # built once: json.dumps with any non-default argument builds an encoder
@@ -400,6 +401,8 @@ def trace_text(trace: ShiftTrace, digest: str) -> str:
             f'"streamHash":{canon_dumps(digest)}}}\n')
 
 
+# the last step index construct and the trace reader take: cost is ~steps^2
+_MAX_STEPS = 10_000
 _UNREAD = object()  # equal to no JSON value
 
 
@@ -415,6 +418,9 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     if o["N"] < 0:
         raise SerializationError(
             "malformed trace header: N must be nonnegative")
+    if o["N"] > _MAX_STEPS or len(o["steps"]) > _MAX_STEPS + 1:
+        raise SerializationError(f"malformed trace: N and every step index "
+                                 f"must be at most {_MAX_STEPS}")
     steps: List[ShiftStep] = []
     # a pi record equal to the previous step's decodes to an equal map,
     # and a malformed one raised at its first occurrence: each run of

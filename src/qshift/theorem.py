@@ -20,14 +20,16 @@ from .construction import EStream
 from .hfa import Atom, HFAValue, SeqNode, act, atoms_support
 from .ndsets import EMPTY_NDSET, NDSet
 from .plmaps import PLMap
-from .rationals import Q
+from .rationals import Q, QshiftError
 from .reporting import Report
 from .subgroups import (Conj, Fix, Inter, Stab, SubgroupTerm, add_fix_leq,
                         check_decreasing, member, normalize, shifted_groups)
 
 
-class CertificateError(ValueError):
+class CertificateError(QshiftError):
     """A certificate is internally inconsistent (hard error, not a verdict)."""
+    exit_code = 1
+    label = "certificate error"
 
     def __init__(self, index: int, message: str):
         self.index = index

@@ -16,10 +16,11 @@ from qshift.construction import (EStream, EvacuationError, ShiftStep,
                                  ShiftTrace, rational_enum)
 from qshift.ndsets import NDSet, ndset_points
 from qshift.plmaps import PLMap
-from qshift.rationals import Q
+from qshift.rationals import LimitError, Q
 from qshift.sampling import rng_geomtail, rng_rational
-from qshift.serial import (ndset_from_obj, plmap_from_obj, stream_to_obj,
-                           write_json_file)
+from qshift.serial import (SerializationError, ndset_from_obj,
+                           plmap_from_obj, stream_to_obj, write_json_file)
+from qshift.theorem import CertificateError
 
 SPECS = resources.files("qshift").joinpath("specs")
 
@@ -396,6 +397,38 @@ def test_construct_steps_capped_at_parse_time(tmp_path):
         cli.step_count(str(cli._MAX_STEPS + 1))
 
 
+def test_trace_read_is_capped_at_the_construct_step_cap(
+        monkeypatch, tmp_path, capsys):
+    # the longest trace construct writes is read; one step more, or a
+    # header N past the cap, is refused before any step is replayed
+    spec = str(SPECS / "empty.json")
+    out = tmp_path / "trace.json"
+    cap = cli._MAX_STEPS
+    assert run_cli("construct", "--stream", spec, "--steps", str(cap),
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    blob = json.loads(out.read_text())
+    assert blob["N"] == cap and len(blob["steps"]) == cap + 1
+    trace, _, n = serial.trace_from_obj(blob)
+    assert n == cap and len(trace.steps) == cap + 1
+
+    # verify prints a row per (set, gap) pair: a replay this long would
+    # write about 10**8 lines, so reaching it fails at once
+    def replay(trace, stream):
+        raise AssertionError("a trace past the step cap was replayed")
+
+    monkeypatch.setattr(cli, "verify_shift_trace", replay)
+    extra = dict(blob["steps"][-1], n=cap + 1)
+    for edit in ({"N": cap + 1}, {"steps": blob["steps"] + [extra]},
+                 {"N": cap + 1, "steps": blob["steps"] + [extra]}):
+        out.write_text(json.dumps({**blob, **edit}))
+        assert run_cli("verify", "--stream", spec, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: malformed trace: N and every "
+                                "step index must be at most 10000\n")
+
+
 def test_construct_coefficient_past_text_limit_is_input_error(tmp_path):
     # the shifted tails' coefficients outgrow the 4300 digits a rational
     # literal may have, although every parsed literal is shorter; with
@@ -635,21 +668,32 @@ def test_rational_digit_cap_holds_without_the_int_str_limit(tmp_path):
     assert "more than 4300 digits" in proc.stderr
 
 
-def test_evacuation_error_exits_1_without_traceback(
-        monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("error, code, line", [
+    (SerializationError("no such spec file: x.json"), 2,
+     "input error: no such spec file: x.json"),
+    (LimitError("power search past exponent 1099511627776"), 2,
+     "limit error: power search past exponent 1099511627776"),
+    (EvacuationError(Q(1), (Q(0), Q(2))), 1,
+     "evacuation error: closure point 1 lies in blocked interval [0, 2]"),
+    (CertificateError(2, "tau does not map the base prefix"), 1,
+     "certificate error: certificate invalid at index 2: tau does not map "
+     "the base prefix"),
+], ids=["SerializationError", "LimitError", "EvacuationError",
+        "CertificateError"])
+def test_error_exits_with_its_code_without_traceback(
+        monkeypatch, tmp_path, capsys, error, code, line):
     def refuse(stream, upto):
-        raise EvacuationError(Q(1), (Q(0), Q(2)))
+        raise error
 
     out = tmp_path / "trace.json"
     monkeypatch.setattr(cli, "run_shift_construction", refuse)
     for argv in (["construct", "--stream", "dense_singletons.json",
                   "--steps", "3", "--out", str(out)],
                  ["theorem", "--stream", "theorem_identity.json"]):
-        assert run_cli(*argv) == 1, argv
+        assert run_cli(*argv) == code, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("evacuation error: closure point 1 lies in "
-                                "blocked interval [0, 2]\n")
+        assert captured.err == line + "\n"
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
-"""The package's modules import one another down a fixed order only."""
+"""The package's modules import one another down a fixed order only, and
+its errors reach the command line through one handler."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qshift
+from qshift.rationals import QshiftError
 
 # lowest first; the kernel package ``_qarith`` sits below all of them, and
 # ``__init__`` (which re-exports everything) is exempt
@@ -76,3 +79,35 @@ def test_only_the_normalizing_value_classes_guard_setattr():
                        and item.name == "__setattr__" for item in node.body)}
     assert guarded == {"GeomTail", "NDSet", "PLMap", "Interval", "Atom",
                        "SetNode", "SeqNode"}
+
+
+def test_cli_main_maps_every_refusal_in_one_handler():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main)
+                if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["QshiftError"]
+
+
+def test_every_package_error_is_a_value_error_with_its_label_and_code():
+    # the package defines one exception hierarchy
+    modules = [importlib.import_module(f"qshift.{name}") for name in ORDER]
+    defined = {f"{obj.__module__}.{obj.__name__}"
+               for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("qshift.")}
+    found, todo = {}, [QshiftError]
+    while todo:
+        cls = todo.pop()
+        assert issubclass(cls, ValueError), cls
+        found[f"{cls.__module__}.{cls.__name__}"] = (cls.label, cls.exit_code)
+        todo.extend(cls.__subclasses__())
+    assert found == {
+        "qshift.rationals.QshiftError": ("input error", 2),
+        "qshift.serial.SerializationError": ("input error", 2),
+        "qshift.rationals.LimitError": ("limit error", 2),
+        "qshift.construction.EvacuationError": ("evacuation error", 1),
+        "qshift.theorem.CertificateError": ("certificate error", 1),
+    }
+    assert defined == set(found)

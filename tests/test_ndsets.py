@@ -10,7 +10,8 @@ from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
 from qshift.rationals import Interval, LimitError, Q
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
-                             rng_interval, rng_rational, sample_points)
+                             rng_interval, rng_positive_rational,
+                             rng_rational, sample_points)
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -619,6 +620,66 @@ def test_power_search_refuses_past_the_exponent_cap(monkeypatch):
     assert ndsets._min_pow_lt(Q(1, 2), Q(1, 200)) == 8
     with pytest.raises(LimitError):
         ndsets._min_pow_lt(Q(1, 2), Q(1, 1000))
+
+
+def min_pow_two_modes(r, bound, strict=True):
+    """The exponent search with both of its former modes: minimal k >= 0
+    with r**k < bound (<= when strict=False); None if no k."""
+    if bound <= 0:
+        return None
+    one = Q(1)
+    if (one < bound) if strict else (one <= bound):
+        return 0
+    hi = 1
+    while not ((r ** hi < bound) if strict else (r ** hi <= bound)):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if (r ** mid < bound) if strict else (r ** mid <= bound):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def neighbours_by_two_searches(tail, q):
+    """``GeomTail.neighbours`` as it was: one strict and one non-strict
+    search per query."""
+    t = (q - tail.limit) / tail.coeff
+    if t < 0:
+        under, over = None, tail.limit
+    else:
+        under = tail.term(min_pow_two_modes(tail.ratio, t))
+        k = min_pow_two_modes(tail.ratio, t, strict=False)
+        over = tail.term(k - 1) if k else None
+    return (under, over) if tail.coeff > 0 else (over, under)
+
+
+def test_one_power_search_matches_the_two_mode_oracle():
+    rng = Random(2718)
+    exact = 0
+    for _ in range(300):
+        tail = rng_geomtail(rng)
+        r = tail.ratio
+        # exact powers (1 among them), points between powers, t >= 1,
+        # t <= 0 and random bounds
+        ts = [r ** rng.randint(0, 40) for _ in range(3)]
+        ts += [(r ** k + r ** (k + 1)) / 2 for k in (0, 2, 7)]
+        ts += [Q(1), 1 / r, Q(5, 2), Q(0), -r, rng_rational(rng, 10)]
+        ts += [rng_positive_rational(rng) for _ in range(3)]
+        for t in ts:
+            assert ndsets._min_pow_lt(r, t) == \
+                min_pow_two_modes(r, t, strict=False), (r, t)
+            q = tail.limit + tail.coeff * t
+            assert tail.first_k_inside(q) == min_pow_two_modes(r, t), (tail, t)
+            if t != 0:
+                assert tail.neighbours(q) == neighbours_by_two_searches(
+                    tail, q), (tail, t)
+            # the modes differ exactly where t is a power of r
+            exact += min_pow_two_modes(r, t) != min_pow_two_modes(
+                r, t, strict=False)
+    assert exact > 900, exact
 
 
 def test_subset_of_closure_refuses_past_its_caps(monkeypatch):
