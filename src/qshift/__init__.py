@@ -12,9 +12,8 @@ from .ndsets import EMPTY_NDSET, GeomTail, NDSet, ndset_points
 from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, LimitError, QshiftError, rat, rat_str
 from .reporting import Check, Report
-from .subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
-                        ShiftProblem, Stab, check_shift_witness, fix_leq,
-                        member, normalize)
+from .subgroups import (FULL_GROUP, Conj, Fix, Inter, ShiftProblem, Stab,
+                        check_shift_witness, fix_leq, member, normalize)
 from .theorem import (BranchCertificate, CertificateError, TreeInstance,
                       branch_from_shifts, essential_shift, orbit_member,
                       order_iso_fixing, shifts_from_branch)
@@ -27,7 +26,7 @@ __all__ = [
     "GeomTail", "NDSet", "EMPTY_NDSET", "ndset_points",
     "Atom", "SetNode", "SeqNode", "atom_seq", "act", "atoms_support", "in_sym",
     "FULL_GROUP", "Fix", "Stab", "Conj", "Inter", "member", "normalize",
-    "fix_leq", "FilterDescriptor", "ShiftProblem", "check_shift_witness",
+    "fix_leq", "ShiftProblem", "check_shift_witness",
     "EStream", "EvacuationError", "ShiftTrace", "canonical_interval",
     "rational_enum", "evacuate", "run_shift_construction",
     "verify_shift_trace", "witness_subgroup",

@@ -17,34 +17,47 @@ from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .plmaps import PLMap
-from .rationals import (Interval, LimitError, Q, rat, rat_str,
+from .rationals import (_MAX_DIGITS, Interval, LimitError, Q, rat, rat_str,
                         simplest_between)
 
 
-# _min_pow_lt raises LimitError rather than search past this exponent
-_MAX_EXPONENT = 1 << 40
+_TOO_LONG = 10 ** _MAX_DIGITS  # the least denominator with more digits
+_ONE = Q(1)
 
 
-def _min_pow_lt(r: Q, bound: Q) -> Optional[int]:
-    """Minimal k >= 0 with r**k <= bound; None if no k."""
+def _min_pow_lt(r: Q, bound: Q) -> Optional[Tuple[int, Q]]:
+    """Least k >= 0 with r**k <= bound, and r**k; None when bound <= 0.
+
+    Squares r until a square is <= bound, then reads the bits of k - 1
+    from the highest down, one multiplication per bit.  Raises
+    ``LimitError`` exactly when r**k's denominator has more than
+    ``_MAX_DIGITS`` digits; the squaring stops at the first such square.
+    """
     if bound <= 0:
         return None
     if bound >= 1:
-        return 0
-    # exponential then binary search on the exponent
-    hi = 1
-    while r ** hi > bound:
-        if hi >= _MAX_EXPONENT:
-            raise LimitError(f"power search past exponent {_MAX_EXPONENT}")
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if r ** mid <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        return 0, _ONE
+    if r <= bound and r.denominator < _TOO_LONG:  # the commonest k past 0
+        return 1, r
+    # (n/d)**e is n**e/d**e in lowest terms, above bn/bd iff n**e*bd > bn*d**e
+    bn, bd = bound.numerator, bound.denominator
+    n, d = r.numerator, r.denominator
+    squares = [(n, d)]
+    while n * bd > bn * d and d < _TOO_LONG:
+        n, d = n * n, d * d
+        squares.append((n, d))
+    if n * bd <= bn * d:
+        # squares[-1] is r**(2**m): r**j > bound exactly for j < k <= 2**m
+        j, n, d = 0, 1, 1
+        for i in range(len(squares) - 2, -1, -1):
+            sn, sd = squares[i]
+            if n * sn * bd > bn * d * sd:
+                j, n, d = j + (1 << i), n * sn, d * sd
+        n, d = n * r.numerator, d * r.denominator
+        if d < _TOO_LONG:
+            return j + 1, Q(n, d)
+    raise LimitError(f"the least power of a tail ratio below a bound has "
+                     f"more than {_MAX_DIGITS} digits")
 
 
 def _pow_matching_denominator(base_den: int, target_den: int) -> Optional[int]:
@@ -152,8 +165,11 @@ class GeomTail:
     def first_k_inside(self, x: Q) -> Optional[int]:
         """Minimal k with term(k) strictly between the limit and x; None
         when x is not on the terms' side of the limit."""
-        k = _min_pow_lt(self.ratio, (x - self.limit) / self.coeff)
-        return k + 1 if k is not None and self.term(k) == x else k
+        t = (x - self.limit) / self.coeff
+        found = _min_pow_lt(self.ratio, t)
+        if found is None:
+            return None
+        return found[0] + 1 if found[1] == t else found[0]
 
     def neighbours(self, q: Q) -> Tuple[Optional[Q], Optional[Q]]:
         """Closure points of the tail nearest to q strictly below and
@@ -169,11 +185,11 @@ class GeomTail:
             under, over = None, self.limit
         else:
             # ratio**k <= t; term k is q itself when they are equal
-            k = _min_pow_lt(self.ratio, t)
-            under = self.term(k)
-            if under == q:
-                under = self.term(k + 1)
-            over = self.term(k - 1) if k else None
+            k, power = _min_pow_lt(self.ratio, t)
+            over = self.limit + self.coeff * power / self.ratio if k else None
+            if power == t:
+                power = power * self.ratio
+            under = self.limit + self.coeff * power
         return (under, over) if self.coeff > 0 else (over, under)
 
     def closure_meets_closed(self, a: Q, b: Q) -> Optional[Q]:
@@ -186,7 +202,8 @@ class GeomTail:
         # candidate is the largest power of ratio not above the t of the
         # end farther from the limit: the term nearest that end
         far = b if self.coeff > 0 else a
-        w = self.term(_min_pow_lt(self.ratio, (far - self.limit) / self.coeff))
+        _, power = _min_pow_lt(self.ratio, (far - self.limit) / self.coeff)
+        w = self.limit + self.coeff * power
         return w if a <= w <= b else None
 
 
@@ -560,11 +577,13 @@ class NDSet:
         full = len(covered) == period
         end = start if full else (max(start, _HEAD_CAP)
                                   + period * (independent + 1))
+        power = _ONE
         for k in range(end):
             if not any(k >= s and (k - s) % step == 0 for s, step in aps):
-                term = t.term(k)
+                term = t.limit + t.coeff * power
                 if not self.closure_contains(term):
                     return term
+            power = power * t.ratio
         if full:
             return None
         raise LimitError(f"a closure crowds the limit of a tail it does not "

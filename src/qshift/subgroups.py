@@ -11,7 +11,6 @@ is ever attempted; ``member`` on the terms as written is the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import List, Optional, Sequence
 
 from .hfa import HFAValue, atoms_support, in_sym
@@ -135,20 +134,6 @@ def fix_leq(support: NDSet, other: NDSet) -> Optional[Q]:
     return other.subset_of_closure(support)
 
 
-# -- filters ---------------------------------------------------------------
-
-class FilterDescriptor(Enum):
-    """Which pointwise stabilizers generate the subgroup filter."""
-
-    NOWHERE_DENSE_SUPPORTS = "nowhere-dense"
-    FINITE_SUPPORTS = "finite"
-
-    def admits_basis(self, support: NDSet) -> bool:
-        if self is FilterDescriptor.FINITE_SUPPORTS:
-            return not support.tails
-        return True
-
-
 # -- shifted-sequence witness checking --------------------------------------
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -197,22 +182,18 @@ def check_decreasing(report: Report, groups: Sequence[SubgroupTerm]) -> None:
         add_fix_leq(report, "decreasing", supports[n + 1], supports[n], n)
 
 
-def check_shift_witness(problem: ShiftProblem,
-                        filter_descriptor: FilterDescriptor =
-                        FilterDescriptor.NOWHERE_DENSE_SUPPORTS) -> Report:
+def check_shift_witness(problem: ShiftProblem) -> Report:
     """Per-step verdicts for a shifted-sequence witness, all exact.
 
     Checks, for each step: membership of the n-th map in the n-th
     shifted group, containment of Fix(candidate) in every shifted group,
-    that the declared groups are decreasing, and that the candidate
-    generates a basis element of the declared filter.
+    and that the declared groups are decreasing.  ``candidate-basis``
+    always passes: every ``NDSet`` is nowhere dense.
     """
     report = Report()
     ks = shifted_groups(problem.groups, problem.witness)
 
-    report.add("candidate-basis",
-               filter_descriptor.admits_basis(problem.candidate),
-               detail=filter_descriptor.value)
+    report.add("candidate-basis", True, detail="nowhere-dense")
 
     check_decreasing(report, problem.groups)
 
@@ -227,6 +208,6 @@ def check_shift_witness(problem: ShiftProblem,
 __all__ = [
     "SubgroupTerm", "FULL_GROUP", "Fix", "Stab", "Conj", "Inter",
     "member", "fix_violation", "normalize", "fix_leq", "add_fix_leq",
-    "FilterDescriptor", "ShiftProblem", "shifted_groups", "check_decreasing",
+    "ShiftProblem", "shifted_groups", "check_decreasing",
     "check_shift_witness",
 ]

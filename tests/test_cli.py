@@ -671,8 +671,10 @@ def test_rational_digit_cap_holds_without_the_int_str_limit(tmp_path):
 @pytest.mark.parametrize("error, code, line", [
     (SerializationError("no such spec file: x.json"), 2,
      "input error: no such spec file: x.json"),
-    (LimitError("power search past exponent 1099511627776"), 2,
-     "limit error: power search past exponent 1099511627776"),
+    (LimitError("the least power of a tail ratio below a bound has more "
+                "than 4300 digits"), 2,
+     "limit error: the least power of a tail ratio below a bound has more "
+     "than 4300 digits"),
     (EvacuationError(Q(1), (Q(0), Q(2))), 1,
      "evacuation error: closure point 1 lies in blocked interval [0, 2]"),
     (CertificateError(2, "tau does not map the base prefix"), 1,

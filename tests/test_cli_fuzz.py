@@ -2,8 +2,9 @@
 instances, run through ``main()`` in process.
 
 Each mutation replaces, deletes or duplicates one field of a valid
-document.  Every case must return exit code 0, 1 or 2 without raising,
-print no traceback, and leave stdout empty when it exits 2.
+document; a second set moves every tail ratio toward 1.  Every case
+must return exit code 0, 1 or 2 without raising, print no traceback,
+and leave stdout empty when it exits 2.
 """
 
 import copy
@@ -23,6 +24,10 @@ SPECS = resources.files("qshift").joinpath("specs")
 FILLERS = (None, True, False, 0, 1, -1, 2 ** 70, 0.5, "", "0", "1", "-1",
            "1/2", "-3/7", "1/0", "2/4", "x", [], {}, ["0"], [["0", "0"]],
            {"points": [], "tails": []}, {"atom": "0"})
+
+# 1 - 10**-j for j = 1..12: ratios whose powers shrink ever more slowly,
+# so the powers below a bound grow ever longer
+NEAR_ONE = tuple(f"{10 ** j - 1}/{10 ** j}" for j in range(1, 13))
 
 
 def _paths(obj, path=()):
@@ -59,6 +64,21 @@ def mutate(doc, rng):
     else:
         parent[key + "_"] = copy.deepcopy(parent[key])
     return out
+
+
+def ratios_toward_one(doc):
+    """Copies of ``doc`` with one ``ratio`` field set to each of
+    ``NEAR_ONE``."""
+    for path in _paths(doc):
+        if path[-1] != "ratio":
+            continue
+        for ratio in NEAR_ONE:
+            out = copy.deepcopy(doc)
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            parent["ratio"] = ratio
+            yield out
 
 
 def _run(capsys, argv):
@@ -107,18 +127,20 @@ def test_single_field_mutations_end_in_a_defined_exit_code(tmp_path, capsys):
         for _ in range(count):
             doc_path.write_text(json.dumps(mutate(doc, rng)))
             codes[_run(capsys, argv(str(doc_path)))] += 1
+        for near in ratios_toward_one(doc):
+            doc_path.write_text(json.dumps(near))
+            codes[_run(capsys, argv(str(doc_path)))] += 1
     # the corpus reaches every exit code
     assert min(codes.values()) >= 20, codes
 
 
-@pytest.mark.xfail(strict=True, reason="exact powers of a ratio near 1 "
-                   "grow to tens of thousands of digits before any size "
-                   "limit is checked")
-def test_ratio_near_one_ends_quickly(tmp_path):
+@pytest.mark.parametrize("ratio, code", [
+    ("999/1000", 0), ("9999/10000", 2), ("99999/100000", 2)])
+def test_ratio_near_one_ends_quickly(tmp_path, ratio, code):
     stream = tmp_path / "stream.json"
     stream.write_text(json.dumps({"increments": [
         {"points": [], "tails": [{"limit": "0", "coeff": "1",
-                                  "ratio": "99999/100000", "headDrop": 0}]},
+                                  "ratio": ratio, "headDrop": 0}]},
         {"points": ["1/3"], "tails": []},
         {"points": ["1/5"], "tails": []}]}))
     proc = subprocess.run(
@@ -126,5 +148,7 @@ def test_ratio_near_one_ends_quickly(tmp_path):
          "--stream", str(stream), "--steps", "2",
          "--out", str(tmp_path / "trace.json")],
         capture_output=True, text=True, timeout=3)
-    assert proc.returncode in (0, 2)
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    # a term whose denominator has more than 4300 digits is refused
+    assert proc.stderr.startswith("limit error:") if code else \
+        proc.stderr == ""

@@ -1,4 +1,5 @@
 import math
+import time
 from random import Random
 
 import pytest
@@ -614,12 +615,20 @@ def test_subset_of_closure_matches_term_scan_on_same_limit_families():
     assert held > 80 and escaped > 200, (held, escaped)
 
 
-def test_power_search_refuses_past_the_exponent_cap(monkeypatch):
-    assert ndsets._min_pow_lt(Q(1, 2), Q(1, 1000)) == 10
-    monkeypatch.setattr(ndsets, "_MAX_EXPONENT", 8)
-    assert ndsets._min_pow_lt(Q(1, 2), Q(1, 200)) == 8
+def test_power_search_refuses_past_the_digit_cap():
+    assert ndsets._min_pow_lt(Q(1, 2), Q(1, 1000)) == (10, Q(1, 1024))
+    # 10**4200 has 4201 digits: the square 10**-8192 passes the cap, but
+    # the answer does not
+    assert ndsets._min_pow_lt(Q(1, 10), Q(1, 10 ** 4200)) == \
+        (4200, Q(1, 10 ** 4200))
+    # 10**4300 has 4301
     with pytest.raises(LimitError):
-        ndsets._min_pow_lt(Q(1, 2), Q(1, 1000))
+        ndsets._min_pow_lt(Q(1, 10), Q(1, 10 ** 4300))
+    # a ratio near 1: the least power below 1/3 has about 550,000 digits
+    start = time.perf_counter()
+    with pytest.raises(LimitError):
+        ndsets._min_pow_lt(Q(99999, 100000), Q(1, 3))
+    assert time.perf_counter() - start < 0.5
 
 
 def min_pow_two_modes(r, bound, strict=True):
@@ -669,8 +678,9 @@ def test_one_power_search_matches_the_two_mode_oracle():
         ts += [Q(1), 1 / r, Q(5, 2), Q(0), -r, rng_rational(rng, 10)]
         ts += [rng_positive_rational(rng) for _ in range(3)]
         for t in ts:
+            k = min_pow_two_modes(r, t, strict=False)
             assert ndsets._min_pow_lt(r, t) == \
-                min_pow_two_modes(r, t, strict=False), (r, t)
+                (None if k is None else (k, r ** k)), (r, t)
             q = tail.limit + tail.coeff * t
             assert tail.first_k_inside(q) == min_pow_two_modes(r, t), (tail, t)
             if t != 0:

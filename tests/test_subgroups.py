@@ -12,9 +12,9 @@ from qshift.properties import _rng_term
 from qshift.rationals import Interval, Q
 from qshift.sampling import (fix_members, rng_geomtail, rng_hfa, rng_ndset,
                              rng_plmap, rng_rational)
-from qshift.subgroups import (FULL_GROUP, Conj, FilterDescriptor, Fix, Inter,
-                              ShiftProblem, Stab, check_shift_witness,
-                              fix_leq, fix_violation, member, normalize)
+from qshift.subgroups import (FULL_GROUP, Conj, Fix, Inter, ShiftProblem,
+                              Stab, check_shift_witness, fix_leq,
+                              fix_violation, member, normalize)
 
 
 def test_member_full_and_fix_basics():
@@ -135,19 +135,6 @@ def test_fix_leq_examples():
     rng = Random(41)
     for g in fix_members(e, rng, 50):
         assert g.apply(Q(0)) == 0
-
-
-def test_filter_descriptor():
-    finite = FilterDescriptor.FINITE_SUPPORTS
-    dense = FilterDescriptor.NOWHERE_DENSE_SUPPORTS
-    tail_set = NDSet(tails=[GeomTail(0, 1, Q(1, 2))])
-    assert finite.admits_basis(ndset_points(0, 1))
-    assert not finite.admits_basis(tail_set)
-    assert dense.admits_basis(tail_set)
-    # conjugating a basis element stays in the basis
-    img = tail_set.image(PLMap.scaling(3))
-    assert dense.admits_basis(img)
-    assert finite.admits_basis(ndset_points(0, 1).image(PLMap.scaling(3)))
 
 
 def test_check_shift_witness_trivial():
