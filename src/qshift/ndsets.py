@@ -37,8 +37,6 @@ def _min_pow_lt(r: Q, bound: Q) -> Optional[Tuple[int, Q]]:
         return None
     if bound >= 1:
         return 0, _ONE
-    if r <= bound and r.denominator < _TOO_LONG:  # the commonest k past 0
-        return 1, r
     # (n/d)**e is n**e/d**e in lowest terms, above bn/bd iff n**e*bd > bn*d**e
     bn, bd = bound.numerator, bound.denominator
     n, d = r.numerator, r.denominator

@@ -18,7 +18,7 @@ from .construction import (EStream, canonical_interval, pair_index,
 from .hfa import Atom, HFAValue, SeqNode, SetNode, act, atoms_support, in_sym
 from .ndsets import NDSet
 from .plmaps import PLMap, squeeze_map
-from .rationals import Interval, Q, rat_str
+from .rationals import Interval, Q, QshiftError, rat_str
 from .sampling import (fix_members, rng_distinct_rationals, rng_hfa,
                        rng_interval, rng_ndset, rng_plmap, rng_rational,
                        sample_points)
@@ -185,6 +185,8 @@ def prop_squeeze(rng: Random, cases: int) -> Optional[dict]:
         for a, b in blocked:
             try:
                 gap = e.find_gap(Interval(cursor, v))
+            except QshiftError:
+                raise  # a refusal is reported, not counted as infeasible
             except ValueError:
                 feasible = False
                 break

@@ -92,8 +92,11 @@ def _run(capsys, argv):
 
 
 def _cases(tmp_path, capsys):
-    """(command line builder, valid document, mutation count) per input
-    kind: a builder takes the path a mutated document is written to."""
+    """(command line builder, valid document, mutation count, ratio flag)
+    per input kind: a builder takes the path a mutated document is
+    written to; the flag marks the documents whose ``ratio`` fields reach
+    the tail search (``verify`` replays from the unmutated stream, so a
+    trace's ratios never do)."""
     tail = str(SPECS / "tail_start.json")
     trace = tmp_path / "valid.trace.json"
     assert main(["construct", "--stream", tail, "--steps", "3",
@@ -104,15 +107,16 @@ def _cases(tmp_path, capsys):
                               "--out", out]
     theorem = lambda path: ["theorem", "--stream", path]
     return [
-        (construct, json.loads((SPECS / "tail_start.json").read_text()), 300),
+        (construct, json.loads((SPECS / "tail_start.json").read_text()), 300,
+         True),
         (construct, json.loads((SPECS / "dense_singletons.json").read_text()),
-         200),
+         200, True),
         (lambda path: ["verify", "--stream", tail, "--out", path],
-         json.loads(trace.read_text()), 900),
+         json.loads(trace.read_text()), 900, False),
         (theorem, json.loads((SPECS / "theorem_translation.json").read_text()),
-         300),
+         300, True),
         (theorem, json.loads((SPECS / "theorem_identity.json").read_text()),
-         300),
+         300, True),
     ]
 
 
@@ -120,14 +124,14 @@ def test_single_field_mutations_end_in_a_defined_exit_code(tmp_path, capsys):
     rng = Random(26)
     doc_path = tmp_path / "mutated.json"
     codes = {0: 0, 1: 0, 2: 0}
-    for argv, doc, count in _cases(tmp_path, capsys):
+    for argv, doc, count, ratios in _cases(tmp_path, capsys):
         # the valid document itself passes
         doc_path.write_text(json.dumps(doc))
         assert _run(capsys, argv(str(doc_path))) == 0
         for _ in range(count):
             doc_path.write_text(json.dumps(mutate(doc, rng)))
             codes[_run(capsys, argv(str(doc_path)))] += 1
-        for near in ratios_toward_one(doc):
+        for near in ratios_toward_one(doc) if ratios else ():
             doc_path.write_text(json.dumps(near))
             codes[_run(capsys, argv(str(doc_path)))] += 1
     # the corpus reaches every exit code

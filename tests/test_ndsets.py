@@ -1,5 +1,4 @@
 import math
-import time
 from random import Random
 
 import pytest
@@ -625,10 +624,8 @@ def test_power_search_refuses_past_the_digit_cap():
     with pytest.raises(LimitError):
         ndsets._min_pow_lt(Q(1, 10), Q(1, 10 ** 4300))
     # a ratio near 1: the least power below 1/3 has about 550,000 digits
-    start = time.perf_counter()
     with pytest.raises(LimitError):
         ndsets._min_pow_lt(Q(99999, 100000), Q(1, 3))
-    assert time.perf_counter() - start < 0.5
 
 
 def min_pow_two_modes(r, bound, strict=True):
