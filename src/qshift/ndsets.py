@@ -108,9 +108,13 @@ class GeomTail:
     its closure adds t = 0, and its hull is [0, 1].  The coordinate runs
     with q when coeff > 0 and against it when coeff < 0, so one
     implementation serves tails on either side of their limit.
+
+    ``prev`` is the term before the head, limit + coeff / ratio: the only
+    member through which the tail can be extended backwards.  Like the
+    hull it is derived, so it takes no part in equality or hashing.
     """
 
-    __slots__ = ("limit", "coeff", "ratio", "lo", "hi")
+    __slots__ = ("limit", "coeff", "ratio", "lo", "hi", "prev")
 
     def __init__(self, limit, coeff, ratio, head_drop: int = 0):
         limit, coeff, ratio = rat(limit), rat(coeff), rat(ratio)
@@ -128,6 +132,7 @@ class GeomTail:
         head = limit + coeff
         object.__setattr__(self, "lo", min(limit, head))
         object.__setattr__(self, "hi", max(limit, head))
+        object.__setattr__(self, "prev", limit + coeff / ratio)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeomTail is immutable")
@@ -220,7 +225,10 @@ def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
 
     A tail is fixed iff the linear piece of f adjacent to its limit (on
     the terms' side) is the identity and the finitely many terms outside
-    that piece are fixed individually.  The identity moves nothing.
+    that piece are fixed individually.  The identity moves nothing, and
+    neither does a map on a tail whose hull lies in one piece on which
+    the map is the identity; such a tail is skipped unevaluated, as
+    ``PLMap.first_moved`` skips points.
     """
     if f.is_identity:
         return None
@@ -228,6 +236,10 @@ def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
     if p is not None:
         return p
     for t in support.tails:
+        x_star, slope = f.piece_beside(t.lo, True)
+        if (slope == 1 and (x_star is None or t.hi <= x_star)
+                and f.apply(t.lo) == t.lo):
+            continue
         k0, slope = tail_final_piece(f, t)
         if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
             return t.term(k0)
@@ -243,13 +255,35 @@ _HEAD_CAP = 5000
 
 def _held_points(pts, tails) -> set:
     """The points of the sorted sequence that lie on one of the tails; a
-    point is tested only against the tails whose hull contains it."""
+    point is tested only against the tails whose hull contains it, and a
+    tail whose hull misses the points' span costs two comparisons."""
     held = set()
+    if not pts:
+        return held
+    first, last = pts[0], pts[-1]
     for t in tails:
-        for p in pts[bisect_left(pts, t.lo):bisect_right(pts, t.hi)]:
-            if t.contains(p):
-                held.add(p)
+        if t.lo <= last and first <= t.hi:
+            for p in pts[bisect_left(pts, t.lo):bisect_right(pts, t.hi)]:
+                if t.contains(p):
+                    held.add(p)
     return held
+
+
+def _merge_sorted(a: Sequence, b: Sequence, key=None) -> list:
+    """Sorted merge of two sorted sequences without repeats, dropping the
+    items of one equal (by ``key``) to items of the other: the shorter
+    one's items go into a copy of the longer, left to right, each by
+    bisection past the previous one."""
+    small, large = sorted((a, b), key=len)
+    out = list(large)
+    i = 0
+    for x in small:
+        k = x if key is None else key(x)
+        i = bisect_left(out, k, i, key=key)
+        if i == len(out) or (out[i] if key is None else key(out[i])) != k:
+            out.insert(i, x)
+        i += 1
+    return out
 
 
 def _extend_through(t: GeomTail, mine: "NDSet", theirs: "NDSet") -> GeomTail:
@@ -257,7 +291,7 @@ def _extend_through(t: GeomTail, mine: "NDSet", theirs: "NDSet") -> GeomTail:
     members of ``mine`` and ``theirs`` it abuts; ``t`` itself when its
     previous term is not a member of ``theirs``, because it is not one of
     ``mine`` (the tail already reaches back through all of them)."""
-    prev = t.limit + t.coeff / t.ratio
+    prev = t.prev
     if not theirs.contains(prev):
         return t
     coeff = t.coeff
@@ -299,7 +333,7 @@ class NDSet:
         extended = set()
         for t in tails:
             coeff = t.coeff
-            prev = t.limit + coeff / t.ratio
+            prev = t.prev
             while prev in given or any(s.lo <= prev <= s.hi and s.contains(prev)
                                        for s in tails):
                 coeff = coeff / t.ratio
@@ -352,17 +386,38 @@ class NDSet:
 
     # -- membership ----------------------------------------------------
 
+    # A tail's closure lies in its hull [lo, hi], so every tail query below
+    # first tests the hull inline and does the tail's arithmetic only for
+    # the tails whose hull can hold the answer.
+
     def contains(self, q) -> bool:
         q = rat(q)
         pts = self.points
         i = bisect_left(pts, q)
         if i < len(pts) and pts[i] == q:
             return True
-        return any(t.contains(q) for t in self.tails)
+        return any(t.lo <= q <= t.hi and t.contains(q) for t in self.tails)
 
     def closure_contains(self, q) -> bool:
         q = rat(q)
-        return self.contains(q) or any(t.limit == q for t in self.tails)
+        pts = self.points
+        i = bisect_left(pts, q)
+        if i < len(pts) and pts[i] == q:
+            return True
+        return any(t.lo <= q <= t.hi and (q == t.limit or t.contains(q))
+                   for t in self.tails)
+
+    def _hull(self) -> Tuple[Q, Q]:
+        """The least and the greatest closure point of a nonempty set."""
+        pts = self.points
+        lo, hi = (pts[0], pts[-1]) if pts else (self.tails[0].lo,
+                                                self.tails[0].hi)
+        for t in self.tails:
+            if t.lo < lo:
+                lo = t.lo
+            if t.hi > hi:
+                hi = t.hi
+        return lo, hi
 
     # -- algebra --------------------------------------------------------
 
@@ -373,32 +428,41 @@ class NDSet:
         Each side's tails already reach back through all of that side's
         members, so a tail can only grow through a member of the other
         side, and a point can only become covered by a tail of the other
-        side or by a tail of its own side that grew.
+        side or by a tail of its own side that grew.  A tail grows only
+        through its previous term, so only the tails whose previous term
+        lies in the other side's hull are tested; when none grows, the
+        tails merge by bisection.
         """
         if other.is_empty:
             return self
         if self.is_empty:
             return other
-        mine = [_extend_through(t, self, other) for t in self.tails]
-        theirs = [_extend_through(t, other, self) for t in other.tails]
-        covered = _held_points(self.points, theirs + [
-            t for t, old in zip(mine, self.tails) if t is not old])
-        covered |= _held_points(other.points, mine + [
-            t for t, old in zip(theirs, other.tails) if t is not old])
-        # insert the smaller side's points into a copy of the larger
-        # side's, left to right, each by bisection past the previous one
-        small, large = sorted((self.points, other.points), key=len)
-        points = list(large)
-        i = 0
-        for p in small:
-            i = bisect_left(points, p, i)
-            if i == len(points) or points[i] != p:
-                points.insert(i, p)
-            i += 1
+        points = _merge_sorted(self.points, other.points)
+        if not (self.tails or other.tails):
+            return NDSet._normalized(tuple(points), ())
+        mine, theirs = self._extended(other), other._extended(self)
+        grown_mine = [t for t, old in zip(mine, self.tails) if t is not old]
+        grown_theirs = [t for t, old in zip(theirs, other.tails)
+                        if t is not old]
+        covered = _held_points(self.points, theirs + grown_mine)
+        covered |= _held_points(other.points, mine + grown_theirs)
         if covered:
             points = [p for p in points if p not in covered]
-        return NDSet._normalized(
-            tuple(points), tuple(sorted({*mine, *theirs}, key=GeomTail._key)))
+        if grown_mine or grown_theirs:
+            tails = sorted({*mine, *theirs}, key=GeomTail._key)
+        else:
+            tails = _merge_sorted(mine, theirs, GeomTail._key)
+        return NDSet._normalized(tuple(points), tuple(tails))
+
+    def _extended(self, other: "NDSet") -> List[GeomTail]:
+        """This set's tails, each extended backwards through the members of
+        the union with ``other`` it abuts (``_extend_through``); a tail
+        whose previous term lies outside other's hull is kept untested."""
+        if not self.tails:
+            return []
+        lo, hi = other._hull()
+        return [_extend_through(t, self, other) if lo <= t.prev <= hi else t
+                for t in self.tails]
 
     def image(self, f: PLMap) -> "NDSet":
         """Exact image under an increasing piecewise-linear bijection."""
@@ -436,9 +500,10 @@ class NDSet:
         if i < len(pts) and pts[i] <= b:
             return pts[i]
         for t in self.tails:
-            w = t.closure_meets_closed(a, b)
-            if w is not None:
-                return w
+            if t.lo <= b and a <= t.hi:
+                w = t.closure_meets_closed(a, b)
+                if w is not None:
+                    return w
         return None
 
     def closure_meets_sorted(self, intervals: Sequence[Tuple[Q, Q]]
@@ -481,7 +546,14 @@ class NDSet:
         lo = pts[i - 1] if i else None
         hi = pts[i] if i < len(pts) else None
         for t in self.tails:
-            below, above = t.neighbours(q)
+            # a hull beside q offers its near end, the limit or the head
+            # term, both closure points; only a hull around q is searched
+            if t.hi < q:
+                below, above = t.hi, None
+            elif q < t.lo:
+                below, above = None, t.lo
+            else:
+                below, above = t.neighbours(q)
             if below is not None and (lo is None or below > lo):
                 lo = below
             if above is not None and (hi is None or above < hi):

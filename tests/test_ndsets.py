@@ -1,17 +1,21 @@
 import math
+from collections import Counter
 from random import Random
 
 import pytest
 
 from qshift import ndsets
-from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, ndset_points,
-                           tail_final_piece)
+from qshift.construction import (EStream, rational_enum,
+                                 run_shift_construction, verify_shift_trace)
+from qshift.ndsets import (EMPTY_NDSET, GeomTail, NDSet, fix_violation,
+                           ndset_points, tail_final_piece)
 from qshift.plmaps import PLMap
 from qshift.properties import brute_scan_gap
-from qshift.rationals import Interval, LimitError, Q
+from qshift.rationals import Interval, LimitError, Q, rat_str
 from qshift.sampling import (rng_distinct_rationals, rng_geomtail, rng_ndset,
-                             rng_interval, rng_positive_rational,
+                             rng_interval, rng_plmap, rng_positive_rational,
                              rng_rational, sample_points)
+from qshift.serial import ndset_to_obj
 
 
 def tail_contains_brute(tail, q, kmax=200):
@@ -319,24 +323,35 @@ def probe_points(rng, e):
     return qs
 
 
-def test_ordered_queries_match_linear_scans():
+def scan_closure_contains(e, q):
+    return scan_contains(e, q) or any(t.limit == q for t in e.tails)
+
+
+def test_ordered_queries_match_linear_scans(crowded_presentation):
+    # entangled presentations, then crowded ones whose hulls pile up, so
+    # the hull tests that skip tails run on deeply overlapping hulls
     rng = Random(2024)
-    for _ in range(150):
-        points, tails = entangled_presentation(rng)
+    inside = 0  # probes off the closure inside three or more hulls
+    for i in range(250):
+        points, tails = (entangled_presentation(rng) if i < 150
+                         else crowded_presentation(rng))
         e = NDSet(points, tails)
         assert e._key() == scan_canonical(points, tails)
         qs = probe_points(rng, e)
         for q in qs:
             assert e.contains(q) == scan_contains(e, q), q
+            assert e.closure_contains(q) == scan_closure_contains(e, q), q
             for t in e.tails:
                 assert t.contains(q) == tail_member_scan(t, q), (t, q)
             if not e.closure_contains(q):
                 assert e.neighbours(q)[0] == scan_nearest(e, q, True)
                 assert e.neighbours(q)[1] == scan_nearest(e, q, False)
+                inside += sum(t.lo < q < t.hi for t in e.tails) >= 3
         for _ in range(8):
             a, b = sorted(rng.sample(qs, 2))
             assert e.closure_meets_closed(a, b) == \
                 scan_closure_meets_closed(e, a, b), (a, b)
+    assert inside >= 100, inside
 
 
 # -- canonical presentation --------------------------------------------
@@ -906,3 +921,172 @@ def test_within_keeps_what_can_meet_the_interval():
     # hulls are closed: an interval ending on a limit keeps the tail
     assert e.within(-5, -2).tails == (GeomTail(-2, -1, Q(1, 3)),)
     assert e.within(Q(7, 2), Q(9, 2)).is_empty
+
+
+# -- hull-first tail queries ---------------------------------------------------
+
+def test_previous_term_is_derived_and_kept_out_of_identity():
+    rng = Random(2828)
+    for _ in range(200):
+        t = rng_geomtail(rng)  # some with a head drop folded in
+        assert t.prev == t.limit + t.coeff / t.ratio
+        assert t._key() == (t.limit, t.coeff, t.ratio)
+        assert hash(t) == hash((t.limit, t.coeff, t.ratio))
+        assert t == GeomTail(t.limit, t.coeff / t.ratio, t.ratio, head_drop=1)
+        assert ndset_to_obj(NDSet(tails=[t]))["tails"] == [
+            {"limit": rat_str(t.limit), "coeff": rat_str(t.coeff),
+             "ratio": rat_str(t.ratio), "headDrop": 0}]
+    with pytest.raises(AttributeError):
+        t.prev = t.limit
+
+
+def seeded_tail_streams(count=8, steps=12):
+    """(stream, steps) for streams of one random point and one random
+    tail per increment, the shape of the benchmark's tail streams."""
+    for i in range(count):
+        rng = Random(f"hull-first:{i}")
+        yield EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                       for _ in range(steps + 2)]), steps
+
+
+def construct_and_replay(streams):
+    for stream, steps in streams:
+        trace = run_shift_construction(stream, steps)
+        assert verify_shift_trace(trace, stream).passed
+
+
+def test_every_union_of_tail_streams_matches_from_scratch_build(monkeypatch):
+    union = NDSet.union
+    seen = Counter()
+
+    def checked(a, b):
+        got = union(a, b)
+        want = NDSet(a.points + b.points, a.tails + b.tails)
+        assert got._key() == want._key(), (a, b)
+        seen["unions"] += 1
+        seen["grown"] += not set(got.tails) <= set(a.tails + b.tails)
+        seen["merged"] += bool(a.tails and b.tails)
+        return got
+
+    monkeypatch.setattr(NDSet, "union", checked)
+    construct_and_replay(seeded_tail_streams())
+    assert seen["unions"] >= 150 and seen["merged"] >= 150, seen
+    assert seen["grown"] >= 8, seen
+
+
+def hull_span(e):
+    """Least and greatest closure point of a nonempty set, from scratch."""
+    ends = list(e.points) + [x for t in e.tails for x in (t.limit, t.term(0))]
+    return min(ends), max(ends)
+
+
+def test_tail_queries_search_only_the_hulls_that_matter(monkeypatch):
+    calls = Counter()
+    neighbours = GeomTail.neighbours
+    extend_through = ndsets._extend_through
+
+    def neighbours_inside_hull(t, q):
+        assert t.lo < q < t.hi, (t, q)
+        calls["neighbours"] += 1
+        return neighbours(t, q)
+
+    def extend_from_inside_hull(t, mine, theirs):
+        lo, hi = hull_span(theirs)
+        assert lo <= t.prev <= hi, (t, theirs)
+        calls["extend"] += 1
+        return extend_through(t, mine, theirs)
+
+    monkeypatch.setattr(GeomTail, "neighbours", neighbours_inside_hull)
+    monkeypatch.setattr(ndsets, "_extend_through", extend_from_inside_hull)
+    construct_and_replay(seeded_tail_streams())
+    assert calls["neighbours"] >= 50 and calls["extend"] >= 200, calls
+
+
+def test_union_of_tail_free_sets_does_no_tail_work(monkeypatch):
+    calls = Counter()
+    for name in ("_extend_through", "_held_points"):
+        def counted(*args, _f=getattr(ndsets, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ndsets, name, counted)
+    union = NDSet.union
+    tail_free = 0
+
+    def checked(a, b):
+        nonlocal tail_free
+        before = sum(calls.values())
+        got = union(a, b)
+        if not (a.tails or b.tails):
+            assert sum(calls.values()) == before, (a, b)
+            tail_free += 1
+        return got
+
+    monkeypatch.setattr(NDSet, "union", checked)
+    points = EStream([ndset_points(rational_enum(i)) for i in range(14)])
+    construct_and_replay([(points, 12)])
+    assert tail_free >= 20, tail_free
+    a, b = ndset_points(1, 3), ndset_points(2)
+    before = sum(calls.values())
+    assert a.union(b).points == (1, 2, 3)
+    assert sum(calls.values()) == before
+
+
+def every_tail_fix_violation(f, support):
+    """``fix_violation`` as it was before tails were skipped by hull: every
+    tail's final piece and head terms are evaluated."""
+    if f.is_identity:
+        return None
+    p = f.first_moved(support.points)
+    if p is not None:
+        return p
+    for t in support.tails:
+        k0, slope = tail_final_piece(f, t)
+        if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
+            return t.term(k0)
+        for k in range(k0):
+            if f.apply(t.term(k)) != t.term(k):
+                return t.term(k)
+    return None
+
+
+def map_around_hulls(rng, e):
+    """An increasing map that is the identity on the hulls of some tails,
+    fixes only the members of some others (limit and head terms pinned,
+    a breakpoint between two terms) and may move points elsewhere."""
+    fixed, identity_hulls = set(rng_distinct_rationals(rng, 2)), []
+    for t in e.tails:
+        r = rng.random()
+        if r < 0.5:
+            fixed |= {t.lo, t.hi}
+            identity_hulls.append((t.lo, t.hi))
+        elif r < 0.7:
+            fixed |= {t.limit, t.term(1), t.term(0)}
+    xs = sorted(fixed)
+    bps = []
+    for x, nxt in zip(xs, xs[1:] + [None]):
+        bps.append((x, x))
+        if (nxt is not None and rng.random() < 0.6
+                and not any(lo <= x and nxt <= hi for lo, hi in identity_hulls)):
+            bps.append(((x + nxt) / 2,
+                        x + (nxt - x) * rng.choice((Q(1, 4), Q(3, 4)))))
+    slopes = (Q(1), Q(1, 2), Q(2))
+    return PLMap(bps, rng.choice(slopes), rng.choice(slopes))
+
+
+def test_fix_violation_matches_every_tail_oracle(crowded_presentation):
+    rng = Random(2829)
+    seen = Counter()
+    for i in range(600):
+        e = (NDSet(*crowded_presentation(rng)) if i % 3 == 0
+             else rng_ndset(rng, max_points=2, max_tails=4))
+        f = rng_plmap(rng) if i % 5 == 0 else map_around_hulls(rng, e)
+        got = fix_violation(f, e)
+        assert got == every_tail_fix_violation(f, e), (f, e)
+        skipped = [t for t in e.tails
+                   if all(f.apply(x) == x for x in (t.lo, t.hi))
+                   and f.piece_beside(t.lo, True)[1] == 1
+                   and f.piece_beside(t.hi, False)[1] == 1]
+        seen["skippable"] += bool(skipped) and not f.is_identity
+        seen["tail witness"] += got is not None and got not in e.points
+        seen["fixed with tails"] += got is None and bool(e.tails)
+    assert min(seen.values()) >= 60, seen

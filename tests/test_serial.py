@@ -13,7 +13,7 @@ from qshift.construction import (EStream, ShiftStep, ShiftTrace,
 from qshift.hfa import Atom, SeqNode, SetNode
 from qshift.ndsets import GeomTail, NDSet, ndset_points
 from qshift.plmaps import PLMap
-from qshift.rationals import Interval, Q, parse_rational
+from qshift.rationals import Interval, Q, QshiftError, parse_rational
 from qshift.sampling import (rng_geomtail, rng_hfa, rng_ndset, rng_plmap,
                              rng_rational)
 from qshift.serial import (Recorded, SerializationError, canon_dumps,
@@ -364,3 +364,87 @@ def test_trace_reads_keep_no_memo():
     finally:
         tracemalloc.stop()
     assert max(grown) < 2000, grown
+
+
+# -- every reader, called directly with hostile values -------------------------
+
+def _nested_list(depth):
+    o = []
+    for _ in range(depth):
+        o = [o]
+    return o
+
+
+def _nested_set(depth):
+    o = {"atom": "0"}
+    for _ in range(depth):
+        o = {"set": [o]}
+    return o
+
+
+HOSTILE_VALUES = [
+    None, 7, 1.5, True, "1/0", "", [], {}, "9" * 5000, "1/" + "3" * 5000,
+    _nested_list(5000), _nested_set(3000), -1, 1.0, 10 ** 9, ["0"],
+]
+
+
+def _paths(o, path=()):
+    """The path of every value inside a JSON document, the root first."""
+    yield path
+    items = (o.items() if isinstance(o, dict)
+             else enumerate(o) if isinstance(o, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(o, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(o))
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return out
+
+
+def _reader_documents():
+    """(reader, a document the reader accepts) for each of the 8 readers."""
+    point_set = {"points": ["1"], "tails": [
+        {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": 0}]}
+    pl = {"breakpoints": [["0", "0"], ["1", "2"]],
+          "leftSlope": "1", "rightSlope": "1"}
+    value = {"set": [{"atom": "1"}, {"seq": [{"atom": "2"}]}]}
+    stream = EStream([NDSet([Q(1, 3)], [GeomTail(0, 1, Q(1, 2))]),
+                      ndset_points(2), ndset_points(Q(-1, 2))])
+    trace = trace_to_obj(run_shift_construction(stream, 1), stream)
+    specs = resources.files("qshift").joinpath("specs")
+    instance = read_json_file(str(specs / "theorem_identity.json"))
+    return [
+        (serial.interval_from_obj, {"lower": "0", "upper": "1"}),
+        (serial.plmap_from_obj, pl),
+        (serial.ndset_from_obj, point_set),
+        (serial.hfa_from_obj, value),
+        (serial.term_from_obj, {"inter": [
+            {"fix": point_set}, {"stab": value},
+            {"conj": {"by": pl, "inner": "full"}}]}),
+        (serial.stream_from_obj, stream_to_obj(stream)),
+        (serial.trace_from_obj, trace),
+        (serial.instance_from_obj, instance),
+    ]
+
+
+def test_every_reader_lets_only_input_errors_escape():
+    # each hostile value in place of the whole document and of every
+    # value inside it; a reader may accept what it is given, or refuse it
+    # with a QshiftError, and nothing else
+    refused = {}
+    for reader, doc in _reader_documents():
+        reader(doc)
+        for path in _paths(doc):
+            for value in HOSTILE_VALUES:
+                try:
+                    reader(_replaced(doc, path, value))
+                except QshiftError:
+                    refused[reader.__name__] = refused.get(reader.__name__, 0) + 1
+    assert len(refused) == 8 and min(refused.values()) >= 40, refused
