@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap, invert_squeezes, squeeze_map
@@ -178,12 +178,10 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
     """Map fixing ``c_fix`` pointwise whose image of ``c_move`` is
     closure-disjoint from every blocked closed interval.
 
-    For each blocked interval, an open cover with rational endpoints is
-    chosen whose closure misses the closure of ``c_fix``; covers are
-    merged when they overlap.  Inside each cover the blocked intervals
-    are squeezed into closure-free gaps of ``c_move`` and the resulting
-    map is inverted: pulling a blocked interval into a gap of the moving
-    set and inverting moves the set off the blocked interval.
+    Raises ``EvacuationError`` naming the first blocked interval, in the
+    given order, that meets the closure of ``c_fix``, with a closure point
+    inside it.  Otherwise the map is ``_evacuate_merged``'s on the merged
+    blocked list: the identity when nothing is to move.
     """
     merged_blocked = _merge_closed(blocked)
     # merged closed intervals have no holes, so the closure meets one of
@@ -194,8 +192,26 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
             w = c_fix.closure_meets_closed(a, b)
             if w is not None:
                 raise EvacuationError(w, (a, b))
+    pi = _evacuate_merged(c_fix, c_move, merged_blocked)
+    return PLMap.identity() if pi is None else pi
+
+
+def _evacuate_merged(c_fix: NDSet, c_move: NDSet,
+                     merged_blocked: Sequence[Tuple[Q, Q]]
+                     ) -> Optional[PLMap]:
+    """``evacuate`` on sorted, disjoint closed intervals that the caller
+    knows miss the closure of ``c_fix``; None, in place of the identity,
+    when the closure of ``c_move`` misses them already.
+
+    For each blocked interval, an open cover with rational endpoints is
+    chosen whose closure misses the closure of ``c_fix``; covers are
+    merged when they overlap.  Inside each cover the blocked intervals
+    are squeezed into closure-free gaps of ``c_move`` and the resulting
+    map is inverted: pulling a blocked interval into a gap of the moving
+    set and inverting moves the set off the blocked interval.
+    """
     if c_move.closure_meets_sorted(merged_blocked) is None:
-        return PLMap.identity()  # nothing to move
+        return None  # nothing to move
 
     # Covers come out sorted by lower end, so they merge as they are
     # built.  Each cover lies in the gap of the closure of c_fix that holds
@@ -206,8 +222,8 @@ def evacuate(c_fix: NDSet, c_move: NDSet,
     # at least a' otherwise.
     merged: List[Tuple[Q, Q, List[Tuple[Q, Q]]]] = []
     for a, b in merged_blocked:
-        # [a, b] misses the closure of c_fix (checked above), so a and b
-        # have the same nearest closure points
+        # [a, b] misses the closure of c_fix (the caller's contract), so a
+        # and b have the same nearest closure points
         below, above = c_fix.neighbours(a)
         u = a - 1 if below is None else simplest_between(below, a)
         v = b + 1 if above is None else simplest_between(b, above)
@@ -278,19 +294,37 @@ def run_shift_construction(stream: EStream, upto: int) -> ShiftTrace:
     blocked: List[Tuple[Q, Q]] = []
     steps: List[ShiftStep] = []
     for n in range(upto + 1):
+        # evacuate's precondition, held by induction: the closure of
+        # shifted_{n-1} missed blocked_{n-1}.  A closure of a union is the
+        # union of the closures, and a merged interval the union of the
+        # gaps it merges, so only pi_{n-1}``incoming_{n-1} against
+        # blocked_{n-1} and shifted_n against J_n can meet
+        hit = False
         if n:
+            moved = incoming.image(pi)
+            # when evacuate moved nothing, incoming missed blocked already
+            hit = (not unmoved
+                   and moved.closure_meets_sorted(blocked) is not None)
             # pi_{n-1} fixes shifted, so sigma_n``E_n is shifted united
             # with pi_{n-1}``incoming; built only when a step uses it
-            shifted = shifted.union(incoming.image(pi))
+            shifted = shifted.union(moved)
         interval = canonical_interval(n)
         gap = shifted.find_gap(interval)
-        # kept merged, so evacuate's own merge walks a sorted list
+        hit = hit or shifted.closure_meets_closed(gap.lower,
+                                                  gap.upper) is not None
+        # kept merged, as evacuate's body requires
         blocked = _insert_closed(blocked, gap.lower, gap.upper)
         # evacuate's covers lie in gaps of the closure of shifted, and
         # inside them shifted united with incoming looks like incoming
         # alone: the increment's image gives the moving set's map
         incoming = stream.increment(n + 1).image(sigma)
-        pi = evacuate(shifted, incoming, blocked)
+        if hit:
+            # the full sweep names the first blocked interval hit
+            evacuate(shifted, incoming, blocked)
+        pi = _evacuate_merged(shifted, incoming, blocked)
+        unmoved = pi is None
+        if unmoved:
+            pi = PLMap.identity()
         sigma = pi.compose(sigma)
         steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
     return ShiftTrace(steps)

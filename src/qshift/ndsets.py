@@ -220,6 +220,14 @@ def tail_final_piece(f: PLMap, t: GeomTail):
     return (0 if x_star is None else t.first_k_inside(x_star)), slope
 
 
+def _identity_on(f: PLMap, lo: Q, hi: Q) -> bool:
+    """Whether f is the identity on [lo, hi]: the linear piece of f right
+    of lo has slope 1, reaches hi, and fixes lo."""
+    x_star, slope = f.piece_beside(lo, True)
+    return (slope == 1 and (x_star is None or hi <= x_star)
+            and f.apply(lo) == lo)
+
+
 def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
     """A member of the set that f moves, or None when f fixes it all.
 
@@ -236,9 +244,7 @@ def fix_violation(f: PLMap, support: "NDSet") -> Optional[Q]:
     if p is not None:
         return p
     for t in support.tails:
-        x_star, slope = f.piece_beside(t.lo, True)
-        if (slope == 1 and (x_star is None or t.hi <= x_star)
-                and f.apply(t.lo) == t.lo):
+        if _identity_on(f, t.lo, t.hi):
             continue
         k0, slope = tail_final_piece(f, t)
         if slope != 1 or f.apply(t.term(k0)) != t.term(k0):
@@ -465,16 +471,45 @@ class NDSet:
                 for t in self.tails]
 
     def image(self, f: PLMap) -> "NDSet":
-        """Exact image under an increasing piecewise-linear bijection."""
-        if f.is_identity:
+        """Exact image under an increasing piecewise-linear bijection.
+
+        ``self`` when f is the identity on the set's hull.  An increasing
+        bijection keeps the points sorted and off the tails, and maps a
+        tail whose terms all lie in the linear piece beside its limit to a
+        tail, in the same ``_key`` order (the tail itself when that piece
+        is the identity).  So the image needs normalizing only when a tail
+        leaves head terms behind as points, or when an image tail's
+        previous term is a member.  That term is the image of the tail's
+        previous term, so not a member, unless the previous term lies past
+        the piece; only then is it looked up.
+        """
+        if f.is_identity or self.is_empty or _identity_on(f, *self._hull()):
             return self  # normalized and immutable already
         pts: List[Q] = [f.apply(p) for p in self.points]
         tails: List[GeomTail] = []
+        heads = False
+        unsure: List[Q] = []  # previous terms of image tails to look up
         for t in self.tails:
-            k0, slope = tail_final_piece(f, t)
-            pts.extend(f.apply(t.term(k)) for k in range(k0))
-            tails.append(GeomTail(f.apply(t.limit),
-                                  slope * t.coeff * t.ratio ** k0, t.ratio))
+            x_star, slope = f.piece_beside(t.limit, t.coeff > 0)
+            k0 = 0 if x_star is None else t.first_k_inside(x_star)
+            limit = f.apply(t.limit)
+            if k0:
+                heads = True
+                pts.extend(f.apply(t.term(k)) for k in range(k0))
+                image = GeomTail(limit, slope * t.coeff * t.ratio ** k0,
+                                 t.ratio)
+            elif slope == 1 and limit == t.limit:
+                image = t
+            else:
+                image = GeomTail(limit, slope * t.coeff, t.ratio)
+            tails.append(image)
+            if x_star is not None and (t.prev > x_star if t.coeff > 0
+                                       else t.prev < x_star):
+                unsure.append(image.prev)
+        if not heads:
+            out = NDSet._normalized(tuple(pts), tuple(tails))
+            if not any(map(out.contains, unsure)):
+                return out
         return NDSet(pts, tails)
 
     # -- closure geometry ------------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import json
 from bisect import bisect_left
+from collections import Counter
 from operator import itemgetter
 from random import Random
 
@@ -706,13 +707,15 @@ def test_one_pass_covers_match_sorted_merge(monkeypatch):
     calls = [case for case in sweep_cases(Random(8080), 300)
              if ordered_scan_outcome(*case)[0] == "moves"]
     sweep = len(calls)
-    real = construction.evacuate
+    # the recursion calls evacuate's body on its merged blocked list; the
+    # body's arguments replay through the public evacuate
+    real = construction._evacuate_merged
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(construction, "evacuate", recording)
+    monkeypatch.setattr(construction, "_evacuate_merged", recording)
     for s in tail_streams(Random(5150), 8, 12):
         run_shift_construction(s, 11)
     monkeypatch.undo()
@@ -768,3 +771,166 @@ def test_insert_closed_matches_merge_closed():
     assert min(seen.values()) >= 100, seen
     with pytest.raises(ValueError, match="endpoints out of order"):
         _insert_closed([(Q(0), Q(1))], Q(3), Q(2))
+
+
+# -- the recursion's incremental precondition against the full sweep ----------
+
+def point_stream(count):
+    """The singletons rational_enum(0..count-1)."""
+    return EStream([ndset_points(rational_enum(i)) for i in range(count)])
+
+
+def sweeping_construction(stream, upto):
+    """The recursion with the public ``evacuate`` on every step, which
+    merges the blocked list and sweeps the whole set to fix against it."""
+    sigma = PLMap.identity()
+    shifted = stream.increment(0)
+    blocked = []
+    steps = []
+    for n in range(upto + 1):
+        if n:
+            shifted = shifted.union(incoming.image(pi))
+        interval = canonical_interval(n)
+        gap = shifted.find_gap(interval)
+        blocked = _insert_closed(blocked, gap.lower, gap.upper)
+        incoming = stream.increment(n + 1).image(sigma)
+        pi = construction.evacuate(shifted, incoming, blocked)
+        sigma = pi.compose(sigma)
+        steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
+    return ShiftTrace(steps)
+
+
+def run_outcome(build, stream, upto):
+    """The fields of every step a run records, or the text, witness and
+    blocked interval of the ``EvacuationError`` it raises."""
+    try:
+        trace = build(stream, upto)
+    except EvacuationError as exc:
+        return "raised", str(exc), exc.witness, exc.blocked
+    return "ran", [(s.n, s.interval, s.gap, s.pi, s.sigma_next, s.shifted)
+                   for s in trace.steps]
+
+
+def recording_steps(monkeypatch):
+    """Patch the recursion to log (set to fix, blocked list, whether the
+    public ``evacuate`` was called) for each step: the body's arguments, or
+    the public call's on a step whose precondition check hit."""
+    body, public = construction._evacuate_merged, construction.evacuate
+    log = []
+
+    def recording_body(c_fix, c_move, blocked):
+        log.append((c_fix, blocked, False))
+        return body(c_fix, c_move, blocked)
+
+    def recording_public(c_fix, c_move, blocked):
+        log.append((c_fix, blocked, True))
+        return public(c_fix, c_move, blocked)
+
+    monkeypatch.setattr(construction, "_evacuate_merged", recording_body)
+    monkeypatch.setattr(construction, "evacuate", recording_public)
+    return log
+
+
+def assert_verdicts_match_full_sweep(log):
+    for shifted, blocked, checked in log:
+        assert blocked == _merge_closed(blocked)
+        clear = shifted.closure_meets_sorted(_merge_closed(blocked)) is None
+        assert clear == (not checked), (shifted, blocked)
+
+
+def test_incremental_precondition_matches_full_sweep(monkeypatch):
+    # valid streams never hit; a gap widened onto a point of the set to fix
+    # makes the recursion hit on that step, and raise the sweep's error
+    streams = [(s, 11) for s in tail_streams(Random(4242), 8, 12)]
+    streams.append((point_stream(62), 60))
+    real_gap = NDSet.find_gap
+    rng = Random(4343)
+    raised = clean = 0
+    for stream, upto in streams:
+        for target in (None, rng.randrange(upto + 1), rng.randrange(upto + 1)):
+            def widened(self, interval):
+                gap = real_gap(self, interval)
+                if (target is not None and self.points
+                        and interval == canonical_interval(target)):
+                    p = self.points[len(self.points) // 2]
+                    return Interval(min(gap.lower, p), max(gap.upper, p))
+                return gap
+
+            monkeypatch.setattr(NDSet, "find_gap", widened)
+            want = run_outcome(sweeping_construction, stream, upto)
+            log = recording_steps(monkeypatch)
+            got = run_outcome(run_shift_construction, stream, upto)
+            monkeypatch.undo()
+            assert got == want
+            assert_verdicts_match_full_sweep(log)
+            if target is None:
+                assert got[0] == "ran" and len(log) == upto + 1
+                clean += 1
+            else:
+                assert got[0] == "raised" and log[-1][2]
+                raised += 1
+    assert clean == 9 and raised == 18
+
+
+def test_broken_evacuation_map_raises_the_sweeps_error(monkeypatch):
+    # a body whose map puts the moving set onto a blocked gap, leaves it
+    # there (the identity where a move was due) or nudges it at random:
+    # the recursion raises exactly where, and what, the full sweep raises
+    body = construction._evacuate_merged
+    rng = Random(5353)
+    seen = Counter()
+    for stream in tail_streams(Random(5252), 12, 12):
+        for kind in ("onto gap", "identity", "nudge"):
+            target = rng.randrange(10)
+            nudges = {n: Q(rng.choice((1, -1)), rng.randint(2, 40))
+                      for n in rng.sample(range(12), 4)}
+            calls = []
+
+            def broken(c_fix, c_move, blocked):
+                n = len(calls)
+                calls.append(n)
+                pi = body(c_fix, c_move, blocked)
+                if kind == "onto gap" and n == target:
+                    x = c_move.points[0] if c_move.points else \
+                        c_move.tails[0].term(0)
+                    a, b = blocked[rng.randrange(len(blocked))]
+                    return PLMap.translation((a + b) / 2 - x)
+                if kind == "identity" and pi is not None:
+                    return PLMap.identity()
+                if kind == "nudge" and n in nudges:
+                    return PLMap.translation(nudges[n]).compose(
+                        pi or PLMap.identity())
+                return pi
+
+            monkeypatch.setattr(construction, "_evacuate_merged", broken)
+            draws = rng.getstate()
+            want = run_outcome(sweeping_construction, stream, 11)
+            calls.clear()
+            rng.setstate(draws)
+            got = run_outcome(run_shift_construction, stream, 11)
+            monkeypatch.undo()
+            assert got == want, kind
+            seen[kind, got[0]] += 1
+    assert seen["onto gap", "raised"] == 12
+    assert seen["identity", "raised"] >= 8
+    assert seen["nudge", "raised"] >= 4 and seen["nudge", "ran"] >= 2, seen
+
+
+def test_recursion_never_sweeps_the_set_to_fix(monkeypatch):
+    # the sweeps left on the recursion's path are of pi``incoming and of
+    # incoming, never of the shifted set against the whole blocked list
+    real = NDSet.closure_meets_sorted
+    swept = []
+
+    def recording(self, intervals):
+        swept.append(self)
+        return real(self, intervals)
+
+    monkeypatch.setattr(NDSet, "closure_meets_sorted", recording)
+    log = recording_steps(monkeypatch)
+    for s in tail_streams(Random(6262), 8, 12):
+        run_shift_construction(s, 11)
+    monkeypatch.undo()
+    fixed = {id(shifted) for shifted, _, _ in log}
+    assert len(log) == 8 * 12 and not any(checked for _, _, checked in log)
+    assert swept and not any(id(s) in fixed for s in swept)

@@ -1090,3 +1090,86 @@ def test_fix_violation_matches_every_tail_oracle(crowded_presentation):
         seen["tail witness"] += got is not None and got not in e.points
         seen["fixed with tails"] += got is None and bool(e.tails)
     assert min(seen.values()) >= 60, seen
+
+
+# -- image keeps the parts an increasing map leaves normalized -----------------
+
+def renormalizing_image(e, f):
+    """``NDSet.image`` as it was before its fast paths: every tail's final
+    piece evaluated, and the parts normalized from scratch."""
+    if f.is_identity:
+        return e
+    pts = [f.apply(p) for p in e.points]
+    tails = []
+    for t in e.tails:
+        k0, slope = tail_final_piece(f, t)
+        pts.extend(f.apply(t.term(k)) for k in range(k0))
+        tails.append(GeomTail(f.apply(t.limit),
+                              slope * t.coeff * t.ratio ** k0, t.ratio))
+    return NDSet(pts, tails)
+
+
+def prev_onto_member(rng):
+    """A tail, a point and a map with one breakpoint x between the tail's
+    head and previous terms, under which the image of the point is the
+    image tail's previous term: with slope s1 on the limit's side of x and
+    s2 on the other, the point is x + s1 * (prev - x) / s2.  Half the maps
+    are the identity on the limit's side, so the image keeps the tail."""
+    t = GeomTail(rng_rational(rng, 6),
+                 rng.choice((1, -1)) * rng_positive_rational(rng, 3),
+                 Q(1, rng.randint(2, 5)))
+    x = (t.term(0) + t.prev) / 2
+    if rng.random() < 0.5:
+        s1, s2, y = Q(1), rng.choice((Q(1, 2), Q(2), Q(3))), x
+    else:
+        s1, s2 = rng.sample((Q(1), Q(1, 2), Q(2), Q(3)), 2)
+        y = rng_rational(rng, 6)
+    f = PLMap([(x, y)], *((s1, s2) if t.coeff > 0 else (s2, s1)))
+    extra = rng_ndset(rng, max_points=2, max_tails=1)
+    e = NDSet([x + s1 * (t.prev - x) / s2, *extra.points],
+              [t, *extra.tails])
+    return e, f
+
+
+def test_image_matches_renormalizing_oracle(crowded_presentation,
+                                            monkeypatch):
+    real_init = NDSet.__init__
+    builds = []
+
+    def counting(self, *args, **kwargs):
+        builds.append(None)
+        real_init(self, *args, **kwargs)
+
+    rng = Random(2929)
+    seen = Counter()
+    for i in range(1200):
+        if i % 4 == 3:
+            e, f = prev_onto_member(rng)
+        else:
+            e = (NDSet(*crowded_presentation(rng)) if i % 4 == 0
+                 else rng_ndset(rng, max_points=3, max_tails=4))
+            f = (rng_plmap(rng) if i % 3 == 0 else map_around_hulls(rng, e))
+        if i % 11 == 0 and not e.is_empty:
+            # a bump beyond the set's hull
+            hi = max([*e.points, *(t.hi for t in e.tails)])
+            f = PLMap([(hi + 1, hi + 1), (hi + 2, hi + 3), (hi + 4, hi + 4)])
+        monkeypatch.setattr(NDSet, "__init__", counting)
+        builds.clear()
+        got = e.image(f)
+        monkeypatch.undo()
+        assert got == renormalizing_image(e, f), (e, f)
+        assert type(got.points) is tuple and type(got.tails) is tuple
+        if f.is_identity:
+            continue
+        if got is e:
+            seen["whole set kept"] += 1
+            continue
+        seen["tail kept"] += any(t is s for t in got.tails for s in e.tails)
+        heads = any(tail_final_piece(f, t)[0] for t in e.tails)
+        if not builds:
+            seen["wrapped"] += 1
+        elif heads:
+            seen["head terms normalized"] += 1
+        else:
+            seen["previous term on a member"] += 1
+    assert min(seen.values()) >= 40, seen
