@@ -19,7 +19,7 @@ from .hfa import Atom, HFAValue, SeqNode, SetNode, act, atoms_support, in_sym
 from .ndsets import NDSet
 from .plmaps import PLMap, squeeze_map
 from .rationals import Interval, Q, QshiftError, rat_str
-from .sampling import (fix_members, rng_distinct_rationals, rng_hfa,
+from .sampling import (_below, fix_members, rng_distinct_rationals, rng_hfa,
                        rng_interval, rng_ndset, rng_plmap, rng_rational,
                        sample_points)
 from .serial import (hfa_to_obj, interval_to_obj, ndset_to_obj, plmap_to_obj,
@@ -410,7 +410,7 @@ def prop_construction(rng: Random, cases: int) -> Optional[dict]:
     runs = max(1, cases // 40)
     for _ in range(runs):
         incs = [rng_ndset(rng, max_points=2, max_tails=1)
-                for _ in range(rng.randint(1, 3))]
+                for _ in range(1 + _below(rng, 3))]
         stream = EStream(incs)
         trace = run_shift_construction(stream, 3)
         report = verify_shift_trace(trace, stream)

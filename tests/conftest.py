@@ -5,8 +5,9 @@ overlap deeply.
 Both kernels are tested in every run.  When ``qshift._qarith._speedups``
 is not importable (a plain checkout run with ``PYTHONPATH=src``), the
 committed ``_speedups.c`` is compiled into the pytest cache, keyed by the
-source's digest, and loaded from there by path.  A failed build fails
-the tests that need the kernel; it never skips them.
+source's digest, and loaded from there by path (built into a temporary
+directory of the session under ``-p no:cacheprovider``).  A failed build
+fails the tests that need the kernel; it never skips them.
 """
 
 import hashlib
@@ -40,15 +41,19 @@ def _build(out: Path) -> Path:
 
 
 @pytest.fixture(scope="session")
-def speedups(request):
+def speedups(request, tmp_path_factory):
     """The compiled kernel module, built from the committed C source into
-    the pytest cache when it is not importable."""
+    the pytest cache when it is not importable (into a temporary directory
+    of the session when the cache plugin is off)."""
     try:
         return importlib.import_module(MODULE)
     except ImportError:
         pass
-    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
-    out = Path(request.config.cache.mkdir(f"qshift-speedups-{digest}"))
+    name = "qshift-speedups-" + hashlib.sha256(
+        SOURCE.read_bytes()).hexdigest()[:16]
+    cache = getattr(request.config, "cache", None)
+    out = Path(cache.mkdir(name) if cache is not None
+               else tmp_path_factory.mktemp(name))
     spec = importlib.util.spec_from_file_location(MODULE, _build(out))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
