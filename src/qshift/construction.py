@@ -253,8 +253,9 @@ def _evacuate_merged(c_fix: NDSet, c_move: NDSet,
 @dataclass(slots=True)
 class ShiftStep:
     # ``sigma_next`` and ``shifted`` are a PLMap and an NDSet, or records
-    # read from a trace file that compare equal to the values they encode
-    # and decode to one (serial.Recorded)
+    # read from a trace file that compare equal to the values they encode:
+    # serial.Recorded, which decodes to one, or the text reader's records,
+    # which raise serial.TextMismatch where they would compare unequal
     n: int
     interval: Interval
     gap: Interval

@@ -3,12 +3,22 @@
 Writers emit canonical presentations (sorted keys, compact separators,
 sorted set elements), so serialization is deterministic and golden files
 can be compared byte for byte.  Readers are strict: any shape violation
-raises SerializationError, which the CLI maps to exit code 2.  The
-trace reader keeps the records the verifier only compares, ``shifted``
-and ``sigma_next``, as parsed JSON (``Recorded``): they are checked, and
-decoded, when compared, and only when they differ, as JSON values, from
-the encoding of the value replayed.  It parses each rational text of the
-other fields once per read, through a memo dropped when the read returns.
+raises SerializationError, which the CLI maps to exit code 2.
+
+A trace has two readers; both keep the records the verifier only
+compares, ``shifted`` and ``sigma_next``, undecoded, and parse each
+rational text of the other fields once per read, through a memo dropped
+when the read returns.  ``trace_from_text`` reads a trace in the layout
+``trace_text`` writes: it walks the text literally, decodes ``N``, ``I``,
+``J``, ``n``, ``pi`` and ``streamHash`` at their offsets, and keeps each
+``shifted`` and ``sigma_next`` record as a span of the text, which is
+equal to a replayed value only if it is that value's canonical text.
+Anything else, a layout it does not follow or a record that differs,
+raises ``TextMismatch``, and the caller reads the text again with
+``json`` and ``trace_from_obj``.  That reader keeps the two records as
+parsed JSON (``Recorded``): they are checked, and decoded, when compared,
+and only when they differ, as JSON values, from the encoding of the
+value replayed.
 """
 
 from __future__ import annotations
@@ -319,6 +329,34 @@ def _decoded(value: Any) -> Any:
     return value.decode() if isinstance(value, Recorded) else value
 
 
+class _CanonTexts:
+    """The canonical text of a set or a map, ``canon_dumps`` of its
+    encoding.  The text of each point, tail and map is kept by identity for
+    the life of this object, and a set's is joined from its members':
+    the recursion, and its replay, carry the members of ``shifted_n`` into
+    ``shifted_{n+1}`` as the same objects."""
+
+    __slots__ = ("_kept",)
+
+    def __init__(self):
+        # id(value) -> (value, its text): holding the value keeps its id
+        # from being taken by another object while texts are kept
+        self._kept = {}
+
+    def _text(self, value, obj_of) -> str:
+        got = self._kept.get(id(value))
+        if got is None:
+            got = self._kept[id(value)] = value, canon_dumps(obj_of(value))
+        return got[1]
+
+    def __call__(self, value) -> str:
+        if not isinstance(value, NDSet):
+            return self._text(value, plmap_to_obj)
+        points = ",".join([self._text(p, rat_str) for p in value.points])
+        tails = ",".join([self._text(t, _tail_obj) for t in value.tails])
+        return f'{{"points":[{points}],"tails":[{tails}]}}'
+
+
 def _step_objs(trace: ShiftTrace, shifted_obj=ndset_to_obj):
     """Each step's record, as ``trace_to_obj`` writes it, with ``shifted``
     written by ``shifted_obj``.  A step holding the same ``pi`` or
@@ -369,24 +407,9 @@ def trace_text(trace: ShiftTrace, digest: str) -> str:
     ``shifted`` set is joined from the text of each point and tail, kept
     by identity for the whole trace: the recursion carries the members of
     ``shifted_n`` into ``shifted_{n+1}`` as the same objects."""
-    # id(member) -> (member, its text): holding the member keeps its id
-    # from being taken by another object while the trace is written
-    texts = {}
-
-    def text(member, obj_of):
-        got = texts.get(id(member))
-        if got is None:
-            got = texts[id(member)] = member, canon_dumps(obj_of(member))
-        return got[1]
-
-    def shifted_text(e: NDSet) -> str:
-        points = ",".join([text(p, rat_str) for p in e.points])
-        tails = ",".join([text(t, _tail_obj) for t in e.tails])
-        return f'{{"points":[{points}],"tails":[{tails}]}}'
-
     parts = []
     pi = sigma = None
-    for obj in _step_objs(trace, shifted_text):
+    for obj in _step_objs(trace, _CanonTexts()):
         if obj["pi"] is not pi:
             pi = obj["pi"]
             pi_text = canon_dumps(pi)
@@ -453,6 +476,136 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     return ShiftTrace(steps), o["streamHash"], o["N"]
 
 
+class TextMismatch(SerializationError):
+    """A trace text that ``trace_from_text`` does not read: out of the
+    layout ``trace_text`` writes, refused by a check, or holding a record
+    that is not the canonical text of the value replayed.  Its reader
+    then reads the text with ``json`` and ``trace_from_obj``, which gives
+    the verdict or the error."""
+
+    def __init__(self):
+        super().__init__("not a trace in canonical layout")
+
+
+class _TextRecord:
+    """A ``shifted`` or ``sigma_next`` record kept as ``text[start:end]``.
+
+    It equals a value of ``kind`` whose canonical text (``texts``) it is,
+    and compares with nothing else: any other comparison raises
+    ``TextMismatch``, so a trace whose records all compare equal reads as
+    ``trace_from_obj`` reads it."""
+
+    # a plain class: every command imports this module, and building a
+    # dataclass costs about 0.25 ms
+    __slots__ = ("text", "start", "end", "kind", "texts")
+
+    def __init__(self, text: str, start: int, end: int, kind: type,
+                 texts: _CanonTexts):
+        self.text, self.start, self.end = text, start, end
+        self.kind, self.texts = kind, texts
+
+    def __eq__(self, other):
+        if isinstance(other, self.kind):
+            try:
+                want = self.texts(other)
+            except ValueError:
+                # a rational of more than _MAX_DIGITS digits has no text
+                raise TextMismatch from None
+            if (len(want) == self.end - self.start
+                    and self.text.startswith(want, self.start)):
+                return True
+        raise TextMismatch
+
+
+_DECODER = json.JSONDecoder()
+
+
+def trace_from_text(text: str) -> Tuple[ShiftTrace, str, int]:
+    """``trace_from_obj(json.loads(text))`` for a trace in the layout
+    ``trace_text`` writes, or ``TextMismatch``.
+
+    The reader follows that layout literally.  It decodes the values of
+    ``N``, ``I``, ``J``, ``n``, ``pi`` and ``streamHash`` where they start
+    and gives them ``trace_from_obj``'s checks; a check that fails raises
+    ``TextMismatch``, so the json reader reports it.  Each distinct ``pi``
+    text is decoded once.  A ``shifted`` or ``sigma_next`` record ends
+    where the layout's next key starts; it is kept as text
+    (``_TextRecord``), and a run of equal ``sigma_next`` texts shares one
+    record."""
+    def value(at):
+        try:
+            return _DECODER.raw_decode(text, at)
+        except (ValueError, RecursionError):
+            raise TextMismatch from None
+
+    def after(key, at):
+        if not text.startswith(key, at):
+            raise TextMismatch
+        return at + len(key)
+
+    def until(key, at):
+        end = text.find(key, at)
+        if end < 0:
+            raise TextMismatch
+        return end
+
+    try:
+        n_header, at = value(after('{"N":', 0))
+        at = after(',"steps":[', at)
+        steps: List[ShiftStep] = []
+        pis = {}  # pi text -> map
+        rat = _memo_rat({})
+        texts = _CanonTexts()
+        sigma_text = None
+        while True:
+            if len(steps) > _MAX_STEPS:
+                raise TextMismatch
+            iv, at = value(after('{"I":', at))
+            gap, at = value(after(',"J":', at))
+            n, at = value(after(',"n":', at))
+            if not _is_int(n) or n != len(steps):
+                raise TextMismatch
+            gap = interval_from_obj(gap, rat)
+            if gap.lower is None or gap.upper is None:
+                raise TextMismatch
+            interval = interval_from_obj(iv, rat)
+            at = after(',"pi":', at)
+            end = until(',"shifted":', at)
+            pi = pis.get(text[at:end])
+            if pi is None:
+                obj, stop = value(at)
+                if stop != end:
+                    raise TextMismatch
+                pi = pis[text[at:end]] = plmap_from_obj(obj, rat)
+            at = end + len(',"shifted":')
+            end = until(',"sigma_next":', at)
+            shifted = _TextRecord(text, at, end, NDSet, texts)
+            at = end + len(',"sigma_next":')
+            end = text.find(',{"I":', at)
+            last = end < 0
+            if last:
+                end = until('],"streamHash":', at)
+            # the step's closing brace ends its last record
+            if text[end - 1] != "}":
+                raise TextMismatch
+            if text[at:end - 1] != sigma_text:
+                sigma_text = text[at:end - 1]
+                sigma = _TextRecord(text, at, end - 1, PLMap, texts)
+            steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
+            at = end + 1
+            if last:
+                break
+        digest, at = value(after(',"streamHash":', at))
+        at = after("}", at)
+    except SerializationError:
+        raise TextMismatch from None
+    # after the document json.loads takes JSON whitespace only
+    if (text[at:].strip(" \t\n\r") or not isinstance(digest, str)
+            or not _is_int(n_header) or not 0 <= n_header <= _MAX_STEPS):
+        raise TextMismatch
+    return ShiftTrace(steps), digest, n_header
+
+
 # -- theorem instances -------------------------------------------------------------
 
 def instance_from_obj(o: Any):
@@ -499,15 +652,28 @@ def write_text_file(path: str, text: str) -> None:
         raise SerializationError(f"cannot write {path}: {exc}") from exc
 
 
-def read_json_file(path: str) -> Any:
+def read_text_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON, undecodable bytes and integer
-        # literals over Python's int conversion limit; RecursionError,
-        # arrays or objects nested deeper than the decoder recurses
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8
         raise SerializationError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json_text(text: str, path: str) -> Any:
+    """``json.loads(text)``, the text read from ``path``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integer literals over
+        # Python's int conversion limit; RecursionError, arrays or objects
+        # nested deeper than the decoder recurses
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json_file(path: str) -> Any:
+    return parse_json_text(read_text_file(path), path)
 
 
 __all__ = [
@@ -515,6 +681,7 @@ __all__ = [
     "plmap_to_obj", "plmap_from_obj", "ndset_to_obj", "ndset_from_obj",
     "hfa_to_obj", "hfa_from_obj", "term_to_obj", "term_from_obj",
     "stream_to_obj", "stream_from_obj", "stream_hash", "Recorded",
-    "trace_to_obj", "trace_text", "trace_from_obj", "instance_from_obj",
-    "write_json_file", "write_text_file", "read_json_file",
+    "trace_to_obj", "trace_text", "trace_from_obj", "TextMismatch",
+    "trace_from_text", "instance_from_obj", "write_json_file",
+    "write_text_file", "read_text_file", "parse_json_text", "read_json_file",
 ]

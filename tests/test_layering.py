@@ -106,6 +106,7 @@ def test_every_package_error_is_a_value_error_with_its_label_and_code():
     assert found == {
         "qshift.rationals.QshiftError": ("input error", 2),
         "qshift.serial.SerializationError": ("input error", 2),
+        "qshift.serial.TextMismatch": ("input error", 2),
         "qshift.rationals.LimitError": ("limit error", 2),
         "qshift.construction.EvacuationError": ("evacuation error", 1),
         "qshift.theorem.CertificateError": ("certificate error", 1),
