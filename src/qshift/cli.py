@@ -96,8 +96,10 @@ def cmd_verify(args) -> int:
     """Replay the trace file ``--out`` against the stream.  The file is
     read once.  A trace in the layout ``construct`` writes is read as text
     (``serial.trace_from_text``), its ``shifted`` and ``sigma_next``
-    records compared as text with the replay's.  If that reader refuses
-    the text, or the replay with it ends in an error, the report so far
+    records kept as spans of the text: each equals the replayed value
+    whose canonical text it is, and is decoded only when it is not.  If
+    that reader refuses the text, or the replay with it ends in an error
+    (a malformed record, or a span that is not JSON), the report so far
     is dropped and the text is read with ``json`` and ``trace_from_obj``
     and replayed again: that path's verdict, messages and error order are
     the ones printed."""
@@ -108,8 +110,9 @@ def cmd_verify(args) -> int:
     except QshiftError:
         # TextMismatch, or an error of the replay: a file the json path
         # refuses can raise in the replay before its bad record is reached,
-        # so the text path stands only when it ran to the end.  The json
-        # path runs after the handler, which frees the text path's frames
+        # so the text path stands only when it ran to the end, every record
+        # being JSON.  The json path runs after the handler, which frees
+        # the text path's frames
         report = None
     if report is None:
         report = _verify_read(

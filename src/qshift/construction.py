@@ -253,9 +253,8 @@ def _evacuate_merged(c_fix: NDSet, c_move: NDSet,
 @dataclass(slots=True)
 class ShiftStep:
     # ``sigma_next`` and ``shifted`` are a PLMap and an NDSet, or records
-    # read from a trace file that compare equal to the values they encode:
-    # serial.Recorded, which decodes to one, or the text reader's records,
-    # which raise serial.TextMismatch where they would compare unequal
+    # read from a trace file (serial.Recorded): JSON text that compares
+    # equal to the value it encodes, and decodes to it
     n: int
     interval: Interval
     gap: Interval

@@ -5,27 +5,24 @@ sorted set elements), so serialization is deterministic and golden files
 can be compared byte for byte.  Readers are strict: any shape violation
 raises SerializationError, which the CLI maps to exit code 2.
 
-A trace has two readers; both keep the records the verifier only
-compares, ``shifted`` and ``sigma_next``, undecoded, and parse each
-rational text of the other fields once per read, through a memo dropped
+A trace has two readers, and both keep the records the verifier only
+compares, ``shifted`` and ``sigma_next``, as JSON text (``Recorded``):
+a record equals a replayed value whose canonical text it is, and is
+decoded, and the value compared, only when it is not.  Each rational
+text of the other fields is parsed once per read, through a memo dropped
 when the read returns.  ``trace_from_text`` reads a trace in the layout
 ``trace_text`` writes: it walks the text literally, decodes ``N``, ``I``,
 ``J``, ``n``, ``pi`` and ``streamHash`` at their offsets, and keeps each
-``shifted`` and ``sigma_next`` record as a span of the text, which is
-equal to a replayed value only if it is that value's canonical text.
-Anything else, a layout it does not follow or a record that differs,
-raises ``TextMismatch``, and the caller reads the text again with
-``json`` and ``trace_from_obj``.  That reader keeps the two records as
-parsed JSON (``Recorded``): they are checked, and decoded, when compared,
-and only when they differ, as JSON values, from the encoding of the
-value replayed.
+record as a span of the text.  A layout it does not follow, or a span
+that is not JSON, raises ``TextMismatch``, and the caller reads the text
+again with ``json`` and ``trace_from_obj``, which keeps the canonical
+text of each parsed record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from .construction import EStream, ShiftStep, ShiftTrace
@@ -276,59 +273,6 @@ def stream_hash(s: EStream) -> str:
     return hashlib.sha256(canon_dumps(stream_to_obj(s)).encode()).hexdigest()
 
 
-@dataclass(slots=True, eq=False)
-class Recorded:
-    """A trace's ``shifted`` or ``sigma_next`` record, kept as parsed JSON.
-
-    ``kind`` is the class of value the record encodes (``NDSet`` or
-    ``PLMap``); it names the record's reader and writer.  The verifier
-    only compares a record with the value it re-derives, so the record is
-    decoded only when it differs from the derived value's encoding,
-    compared as JSON values with ``==``.  On these shapes that is
-    canonical-text equality, once every ``headDrop`` is an ``int``:
-    ``false``, ``0.0`` and ``-0.0`` equal ``0`` in Python only.  A record
-    equal to the encoding of a canonical value decodes to that value.  The
-    decode keeps every verdict of a full decode: an equal record that is
-    not in normal form still compares equal, and a malformed one raises
-    SerializationError.
-    """
-
-    raw: Any
-    kind: type
-
-    def decode(self) -> Any:
-        return _codec(self.kind)[0](self.raw)
-
-    def __eq__(self, other):
-        if isinstance(other, Recorded):
-            return self.decode() == other.decode()
-        if not isinstance(other, self.kind):
-            return NotImplemented
-        read, write = _codec(self.kind)
-        try:
-            same = write(other) == self.raw
-        except ValueError:
-            # a rational of more than _MAX_DIGITS digits has no text, and
-            # no record read from JSON holds one
-            same = False
-        if same and self.kind is NDSet:
-            # the one place where JSON values equal in Python differ in
-            # text: a headDrop of false, 0.0 or -0.0 equals 0
-            same = all(type(t["headDrop"]) is int for t in self.raw["tails"])
-        return same or read(self.raw) == other
-
-
-def _codec(kind: type):
-    """The (reader, writer) of a kind of record, looked up when called."""
-    if kind is NDSet:
-        return ndset_from_obj, ndset_to_obj
-    return plmap_from_obj, plmap_to_obj
-
-
-def _decoded(value: Any) -> Any:
-    return value.decode() if isinstance(value, Recorded) else value
-
-
 class _CanonTexts:
     """The canonical text of a set or a map, ``canon_dumps`` of its
     encoding.  The text of each point, tail and map is kept by identity for
@@ -355,6 +299,74 @@ class _CanonTexts:
         points = ",".join([self._text(p, rat_str) for p in value.points])
         tails = ",".join([self._text(t, _tail_obj) for t in value.tails])
         return f'{{"points":[{points}],"tails":[{tails}]}}'
+
+
+class TextMismatch(SerializationError):
+    """A trace text that ``trace_from_text`` does not read: out of the
+    layout ``trace_text`` writes, refused by a check, or holding a record
+    that is not JSON.  Its reader then reads the text with ``json`` and
+    ``trace_from_obj``, which gives the verdict or the error."""
+
+    def __init__(self):
+        super().__init__("not a trace in canonical layout")
+
+
+class Recorded:
+    """A trace's ``shifted`` or ``sigma_next`` record, kept as the JSON
+    text ``text[start:end]``; ``kind`` is the class of value it encodes,
+    ``NDSet`` or ``PLMap``.
+
+    The verifier only compares a record with the value it replays.  A
+    record equals a value of ``kind`` whose canonical text (``texts``)
+    it is; otherwise, or when the value has no text, it is decoded and
+    the values are compared.  So an equal value out of normal form still
+    compares equal, a malformed record raises SerializationError, and a
+    text that is not JSON raises ``TextMismatch``."""
+
+    # a plain class: every command imports this module, and building a
+    # dataclass costs about 0.25 ms
+    __slots__ = ("text", "start", "end", "kind", "texts")
+
+    def __init__(self, text: str, start: int, end: int, kind: type,
+                 texts: _CanonTexts):
+        self.text, self.start, self.end = text, start, end
+        self.kind, self.texts = kind, texts
+
+    def decode(self) -> Any:
+        try:
+            obj = json.loads(self.text[self.start:self.end])
+        except (ValueError, RecursionError):
+            raise TextMismatch from None
+        return (ndset_from_obj if self.kind is NDSet else plmap_from_obj)(obj)
+
+    def __eq__(self, other):
+        if isinstance(other, Recorded):
+            return self.decode() == other.decode()
+        if not isinstance(other, self.kind):
+            return NotImplemented
+        try:
+            want = self.texts(other)
+        except ValueError:
+            # a rational of more than _MAX_DIGITS digits has no text
+            return self.decode() == other
+        return ((len(want) == self.end - self.start
+                 and self.text.startswith(want, self.start))
+                or self.decode() == other)
+
+
+def _recorded(obj: Any, kind: type, texts: _CanonTexts) -> Recorded:
+    """A parsed record, kept as its canonical text."""
+    try:
+        text = canon_dumps(obj)
+    except (ValueError, RecursionError) as exc:
+        # only a value built in Python: json.loads refuses text nested
+        # past the recursion limit, or with an integer past str()'s limit
+        raise SerializationError(f"malformed trace record: {exc}") from exc
+    return Recorded(text, 0, len(text), kind, texts)
+
+
+def _decoded(value: Any) -> Any:
+    return value.decode() if isinstance(value, Recorded) else value
 
 
 def _step_objs(trace: ShiftTrace, shifted_obj=ndset_to_obj):
@@ -447,12 +459,13 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
     steps: List[ShiftStep] = []
     # a pi record equal to the previous step's decodes to an equal map,
     # and a malformed one raised at its first occurrence: each run of
-    # equal records is decoded once.  sigma_next and shifted records stay
-    # undecoded until they are compared (Recorded); a run of equal
-    # sigma_next records shares one record.  Each rational text of I, J
-    # and pi is parsed once per read: the memo is dropped on return
+    # equal records is decoded once.  sigma_next and shifted records are
+    # kept as canonical text until they are compared (Recorded); a run of
+    # equal sigma_next records shares one record.  Each rational text of
+    # I, J and pi is parsed once per read: the memo is dropped on return
     pi_obj = sigma_obj = _UNREAD
     rat = _memo_rat({})
+    texts = _CanonTexts()
     for i, s in enumerate(o["steps"]):
         _need(s, ("n", "I", "J", "pi", "sigma_next", "shifted"), "trace step")
         if not _is_int(s["n"]):
@@ -470,51 +483,10 @@ def trace_from_obj(o: Any) -> Tuple[ShiftTrace, str, int]:
             pi_obj, pi = s["pi"], plmap_from_obj(s["pi"], rat)
         if s["sigma_next"] != sigma_obj:
             sigma_obj = s["sigma_next"]
-            sigma = Recorded(sigma_obj, PLMap)
+            sigma = _recorded(sigma_obj, PLMap, texts)
         steps.append(ShiftStep(s["n"], interval, gap, pi, sigma,
-                               Recorded(s["shifted"], NDSet)))
+                               _recorded(s["shifted"], NDSet, texts)))
     return ShiftTrace(steps), o["streamHash"], o["N"]
-
-
-class TextMismatch(SerializationError):
-    """A trace text that ``trace_from_text`` does not read: out of the
-    layout ``trace_text`` writes, refused by a check, or holding a record
-    that is not the canonical text of the value replayed.  Its reader
-    then reads the text with ``json`` and ``trace_from_obj``, which gives
-    the verdict or the error."""
-
-    def __init__(self):
-        super().__init__("not a trace in canonical layout")
-
-
-class _TextRecord:
-    """A ``shifted`` or ``sigma_next`` record kept as ``text[start:end]``.
-
-    It equals a value of ``kind`` whose canonical text (``texts``) it is,
-    and compares with nothing else: any other comparison raises
-    ``TextMismatch``, so a trace whose records all compare equal reads as
-    ``trace_from_obj`` reads it."""
-
-    # a plain class: every command imports this module, and building a
-    # dataclass costs about 0.25 ms
-    __slots__ = ("text", "start", "end", "kind", "texts")
-
-    def __init__(self, text: str, start: int, end: int, kind: type,
-                 texts: _CanonTexts):
-        self.text, self.start, self.end = text, start, end
-        self.kind, self.texts = kind, texts
-
-    def __eq__(self, other):
-        if isinstance(other, self.kind):
-            try:
-                want = self.texts(other)
-            except ValueError:
-                # a rational of more than _MAX_DIGITS digits has no text
-                raise TextMismatch from None
-            if (len(want) == self.end - self.start
-                    and self.text.startswith(want, self.start)):
-                return True
-        raise TextMismatch
 
 
 _DECODER = json.JSONDecoder()
@@ -529,9 +501,9 @@ def trace_from_text(text: str) -> Tuple[ShiftTrace, str, int]:
     and gives them ``trace_from_obj``'s checks; a check that fails raises
     ``TextMismatch``, so the json reader reports it.  Each distinct ``pi``
     text is decoded once.  A ``shifted`` or ``sigma_next`` record ends
-    where the layout's next key starts; it is kept as text
-    (``_TextRecord``), and a run of equal ``sigma_next`` texts shares one
-    record."""
+    where the layout's next key starts; it is kept as that span of the
+    text (``Recorded``), and a run of equal ``sigma_next`` texts shares
+    one record."""
     def value(at):
         try:
             return _DECODER.raw_decode(text, at)
@@ -579,7 +551,7 @@ def trace_from_text(text: str) -> Tuple[ShiftTrace, str, int]:
                 pi = pis[text[at:end]] = plmap_from_obj(obj, rat)
             at = end + len(',"shifted":')
             end = until(',"sigma_next":', at)
-            shifted = _TextRecord(text, at, end, NDSet, texts)
+            shifted = Recorded(text, at, end, NDSet, texts)
             at = end + len(',"sigma_next":')
             end = text.find(',{"I":', at)
             last = end < 0
@@ -590,7 +562,7 @@ def trace_from_text(text: str) -> Tuple[ShiftTrace, str, int]:
                 raise TextMismatch
             if text[at:end - 1] != sigma_text:
                 sigma_text = text[at:end - 1]
-                sigma = _TextRecord(text, at, end - 1, PLMap, texts)
+                sigma = Recorded(text, at, end - 1, PLMap, texts)
             steps.append(ShiftStep(n, interval, gap, pi, sigma, shifted))
             at = end + 1
             if last:

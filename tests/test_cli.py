@@ -17,7 +17,7 @@ from qshift.construction import (EStream, EvacuationError, ShiftStep,
                                  ShiftTrace, rational_enum)
 from qshift.ndsets import NDSet, ndset_points
 from qshift.plmaps import PLMap
-from qshift.rationals import LimitError, Q
+from qshift.rationals import LimitError, Q, QshiftError
 from qshift.sampling import rng_geomtail, rng_rational
 from qshift.serial import (SerializationError, canon_dumps, ndset_from_obj,
                            plmap_from_obj, stream_to_obj, write_json_file)
@@ -863,13 +863,14 @@ def test_verify_survives_every_field_mutation(tmp_path, capsys):
 def eager_trace_from_obj(o):
     """Reference reader: the trace as trace_from_obj reads it, with every
     recorded shifted set and sigma_next map decoded at once, in the order
-    verify compares them (step by step, shifted first)."""
+    verify compares them (step by step, shifted first), from the parsed
+    document."""
     trace, recorded_hash, n = serial.trace_from_obj(o)
     steps = []
-    for s in trace.steps:
-        shifted = ndset_from_obj(s.shifted.raw)
+    for s, raw in zip(trace.steps, o["steps"]):
+        shifted = ndset_from_obj(raw["shifted"])
         steps.append(ShiftStep(s.n, s.interval, s.gap, s.pi,
-                               plmap_from_obj(s.sigma_next.raw), shifted))
+                               plmap_from_obj(raw["sigma_next"]), shifted))
     return ShiftTrace(steps), recorded_hash, n
 
 
@@ -919,6 +920,56 @@ def _stream_files(tmp_path):
         yield path, upto
 
 
+def _corpus_files(tmp_path):
+    """The streams of the tampered-record corpus, with the last step to
+    construct: the bundled specs, the 60-step singleton stream and seeded
+    streams of one point and one tail per increment, the last two written
+    as spec files."""
+    for name in ("dense_singletons.json", "tail_start.json", "empty.json"):
+        yield SPECS / name, 15
+    rng = Random(2424)
+    streams = [(EStream([ndset_points(rational_enum(i)) for i in range(62)]),
+                60)] + [
+        (EStream([NDSet([rng_rational(rng, 10)], [rng_geomtail(rng)])
+                  for _ in range(14)]), 12) for _ in range(6)]
+    for i, (s, upto) in enumerate(streams):
+        path = tmp_path / f"corpus{i}.json"
+        write_json_file(str(path), stream_to_obj(s))
+        yield path, upto
+
+
+def _json_path_reads(monkeypatch):
+    """The list to which each call of ``cli.parse_json_text``, the json
+    path's parse of a trace, appends the path read.  Of verify_three_ways'
+    runs, the json path alone and the eager reader parse once each; the
+    text path parses only when it falls back."""
+    calls = []
+    real = cli.parse_json_text
+    monkeypatch.setattr(cli, "parse_json_text", lambda text, path: (
+        calls.append(path) or real(text, path)))
+    return calls
+
+
+def _not_json(blob, k, key):
+    """The canonical text of the trace ``blob`` with step ``k``'s ``key``
+    record cut short by its closing brace: the text path finds the span
+    where the layout puts it, and the span is not JSON."""
+    edited = json.loads(json.dumps(blob))
+    edited["steps"][k][key] = "cut"
+    return _layouts(edited)[0].replace(
+        '"cut"', canon_dumps(blob["steps"][k][key])[:-1], 1)
+
+
+def _verify_not_json(monkeypatch, capsys, spec, bad, reads):
+    """verify on a trace holding a record that is not JSON: the text path
+    falls back, and the json path refuses the file."""
+    reads.clear()
+    code, text, err = verify_three_ways(monkeypatch, capsys, spec, bad)
+    assert (code, text) == (2, "") and err.startswith(
+        f"input error: cannot read {bad}: ")
+    assert len(reads) == 3
+
+
 def _tampered_shifted(rec):
     """(label, record, expected exit) for each applicable edit of a
     recorded shifted set: equal sets out of normal form, malformed head
@@ -947,27 +998,39 @@ def _tampered_shifted(rec):
 
 def test_lazy_verify_matches_eager_on_intact_and_tampered_traces(
         tmp_path, capsys, monkeypatch):
+    # these 198 edits, the 624 of the sigma_next test below and the 673
+    # field mutations make a corpus of 1,495 corrupted traces
+    reads = _json_path_reads(monkeypatch)
     out, bad = tmp_path / "trace.json", tmp_path / "bad.json"
-    kinds = {}
-    for spec, upto in _stream_files(tmp_path):
+    kinds, cut = {}, 0
+    for spec, upto in _corpus_files(tmp_path):
         assert run_cli("construct", "--stream", str(spec), "--steps",
                        str(upto), "--out", str(out)) == 0
+        reads.clear()
         code, intact, err = verify_three_ways(monkeypatch, capsys, spec, out)
-        assert code == 0 and err == ""
+        assert code == 0 and err == "" and len(reads) == 2
         blob = json.loads(out.read_text())
         assert out.read_text() == _layouts(blob)[0]
         bad.write_text(_layouts(blob)[1])
         assert verify_three_ways(monkeypatch, capsys, spec, bad) == (
             0, intact, "")
-        for k, step in enumerate(blob["steps"]):
+        for k in range(0, len(blob["steps"]), 4):
+            bad.write_text(_not_json(blob, k, "shifted"))
+            _verify_not_json(monkeypatch, capsys, spec, bad, reads)
+            cut += 1
             for (label, rec, want), layout in itertools.product(
-                    _tampered_shifted(step["shifted"]), (0, 1)):
+                    _tampered_shifted(blob["steps"][k]["shifted"]), (0, 1)):
                 edited = json.loads(json.dumps(blob))
                 edited["steps"][k]["shifted"] = rec
                 bad.write_text(_layouts(edited)[layout])
+                reads.clear()
                 code, text, err = verify_three_ways(monkeypatch, capsys,
                                                     spec, bad)
                 assert code == want, (label, k, layout)
+                # a canonical trace whose records decode is decided on the
+                # text path
+                assert len(reads) == 2 + (layout == 1 or want == 2), (
+                    label, k, layout)
                 if want == 0:
                     assert text == intact and err == ""
                 elif want == 2:
@@ -980,6 +1043,7 @@ def test_lazy_verify_matches_eager_on_intact_and_tampered_traces(
                     assert failed == [{"check": "shifted-matches", "ok": False,
                                        "mode": "exact", "n": k}]
                 kinds[label] = kinds.get(label, 0) + 1
+    assert cut == 52 and sum(kinds.values()) == 2 * 198
     assert len(kinds) == 6 and min(kinds.values()) >= 20, kinds
 
 
@@ -1023,23 +1087,30 @@ def _tampered_sigma(rec):
 
 def test_lazy_verify_matches_eager_on_hostile_sigma_records(
         tmp_path, capsys, monkeypatch):
+    reads = _json_path_reads(monkeypatch)
     out, bad = tmp_path / "trace.json", tmp_path / "bad.json"
-    kinds = {}
-    for spec, upto in _stream_files(tmp_path):
+    kinds, cut = {}, 0
+    for spec, upto in _corpus_files(tmp_path):
         assert run_cli("construct", "--stream", str(spec), "--steps",
                        str(upto), "--out", str(out)) == 0
         code, intact, err = verify_three_ways(monkeypatch, capsys, spec, out)
         assert code == 0 and err == ""
         blob = json.loads(out.read_text())
-        for k in range(0, len(blob["steps"]), 3):
+        for k in range(0, len(blob["steps"]), 4):
+            bad.write_text(_not_json(blob, k, "sigma_next"))
+            _verify_not_json(monkeypatch, capsys, spec, bad, reads)
+            cut += 1
             for (label, rec, want, reason), layout in itertools.product(
                     _tampered_sigma(blob["steps"][k]["sigma_next"]), (0, 1)):
                 edited = json.loads(json.dumps(blob))
                 edited["steps"][k]["sigma_next"] = rec
                 bad.write_text(_layouts(edited)[layout])
+                reads.clear()
                 code, text, err = verify_three_ways(monkeypatch, capsys,
                                                     spec, bad)
                 assert code == want, (label, k, layout)
+                assert len(reads) == 2 + (layout == 1 or want == 2), (
+                    label, k, layout)
                 if want == 0:
                     assert text == intact and err == ""
                 elif want == 2:
@@ -1052,6 +1123,7 @@ def test_lazy_verify_matches_eager_on_hostile_sigma_records(
                     assert failed == [{"check": "sigma-telescoping",
                                        "ok": False, "mode": "exact", "n": k}]
                 kinds[label] = kinds.get(label, 0) + 1
+    assert cut == 52 and sum(kinds.values()) == 2 * 624
     assert len(kinds) == 12 and min(kinds.values()) >= 30, kinds
 
 
@@ -1422,11 +1494,12 @@ def test_text_reader_hostile_layouts_match_the_json_path(
 def test_text_reader_reads_what_the_json_reader_reads(tmp_path):
     # on a canonical trace the two readers agree field by field, and each
     # text record equals the value the json reader decodes.  On the hostile
-    # layouts the text path stops with TextMismatch, in the reader or in
-    # the replay, unless the file is a canonical trace
+    # layouts the text path stops with a QshiftError, which makes verify
+    # fall back, in the reader or in the replay, unless the file is a
+    # trace in the canonical layout whose records are all JSON
     out = tmp_path / "trace.json"
     completes = {"canonical", "CRLF", "trailing JSON whitespace",
-                 "quote and brace in the hash"}
+                 "quote and brace in the hash", "sigma_next breaking its run"}
     for spec, upto in _stream_files(tmp_path):
         assert run_cli("construct", "--stream", str(spec), "--steps",
                        str(upto), "--out", str(out)) == 0
@@ -1445,15 +1518,14 @@ def test_text_reader_reads_what_the_json_reader_reads(tmp_path):
             if label in completes:
                 cli._verify_read(serial.trace_from_text(read), stream)
             else:
-                with pytest.raises(serial.TextMismatch):
+                with pytest.raises(QshiftError):
                     cli._verify_read(serial.trace_from_text(read), stream)
-    # a record raises on any value other than its own
+    # a record is unequal to a value of another kind or another value
     steps = by_text[0].steps
     for record, value in ((steps[0].shifted, PLMap.identity()),
                           (steps[0].sigma_next, NDSet([Q(5)], [])),
                           (steps[0].shifted, NDSet([Q(5)], []))):
-        with pytest.raises(serial.TextMismatch):
-            record == value
+        assert record != value and value != record and not record == value
 
 
 def test_theorem_witness_too_long_to_print_is_a_failed_check(tmp_path):

@@ -9,7 +9,7 @@ from qshift.hfa import Atom
 from qshift.ndsets import NDSet, ndset_points
 from qshift.plmaps import PLMap
 from qshift.rationals import Interval
-from qshift.serial import Recorded, plmap_to_obj
+from qshift.serial import _CanonTexts, _recorded, plmap_to_obj
 from qshift.subgroups import FULL_GROUP, ShiftProblem
 from qshift.theorem import BranchCertificate, TreeInstance
 
@@ -70,8 +70,8 @@ def test_other_records_compare_by_identity():
 
 def test_recorded_compares_through_its_own_equality():
     f = PLMap([(0, 0), (1, 2)])
-    rec = Recorded(plmap_to_obj(f), PLMap)
-    assert rec == f and rec == Recorded(plmap_to_obj(f), PLMap)
+    rec = _recorded(plmap_to_obj(f), PLMap, _CanonTexts())
+    assert rec == f and rec == _recorded(plmap_to_obj(f), PLMap, _CanonTexts())
     assert rec != PLMap.identity()
     with pytest.raises(TypeError):
         hash(rec)

@@ -16,13 +16,13 @@ from qshift.plmaps import PLMap
 from qshift.rationals import Interval, Q, QshiftError, parse_rational
 from qshift.sampling import (rng_geomtail, rng_hfa, rng_ndset, rng_plmap,
                              rng_rational)
-from qshift.serial import (Recorded, SerializationError, canon_dumps,
+from qshift.serial import (SerializationError, canon_dumps,
                            hfa_from_obj, hfa_to_obj, interval_from_obj,
                            interval_to_obj, ndset_from_obj, ndset_to_obj,
                            plmap_from_obj, plmap_to_obj, stream_from_obj,
                            read_json_file, stream_hash, stream_to_obj,
                            term_from_obj, term_to_obj, trace_from_obj,
-                           trace_text, trace_to_obj)
+                           trace_from_text, trace_text, trace_to_obj)
 from qshift.subgroups import FULL_GROUP, Conj, Fix, Inter, Stab
 
 
@@ -79,16 +79,24 @@ def test_interval_roundtrip():
         assert interval_from_obj(json.loads(canon_dumps(interval_to_obj(iv)))) == iv
 
 
+def read_both_ways(text):
+    """The trace file ``text`` as each reader reads it: ``trace_from_text``
+    and ``trace_from_obj``."""
+    return trace_from_text(text), trace_from_obj(json.loads(text))
+
+
 def test_trace_roundtrip_bit_exact():
     stream = EStream([ndset_points(0), ndset_points(1), ndset_points(Q(1, 2))])
     trace = run_shift_construction(stream, 2)
     obj = trace_to_obj(trace, stream)
     blob = canon_dumps(obj)
-    parsed, recorded_hash, n = trace_from_obj(json.loads(blob))
-    assert parsed == trace
-    assert recorded_hash == stream_hash(stream)
-    assert n == 2
-    assert canon_dumps(trace_to_obj(parsed, stream)) == blob
+    reads = read_both_ways(blob + "\n")
+    for parsed, recorded_hash, n in reads:
+        assert parsed == trace and trace == parsed
+        assert recorded_hash == stream_hash(stream)
+        assert n == 2
+        assert canon_dumps(trace_to_obj(parsed, stream)) == blob
+    assert reads[0][0] == reads[1][0] and reads[1][0] == reads[0][0]
 
 
 def test_stream_roundtrip_and_hash_stability():
@@ -129,20 +137,26 @@ def test_trace_header_validation():
         trace_from_obj({"streamHash": "x", "N": 0})
 
 
+def recorded(raw, kind):
+    """The record ``trace_from_obj`` keeps for the parsed record ``raw``
+    of a value of ``kind``."""
+    return serial._recorded(raw, kind, serial._CanonTexts())
+
+
 def test_recorded_set_compares_from_either_side():
     e = NDSet([Q(3), Q(-1)], [GeomTail(0, 1, Q(1, 2))])
-    rec = Recorded(json.loads(canon_dumps(ndset_to_obj(e))), NDSet)
+    rec = recorded(json.loads(canon_dumps(ndset_to_obj(e))), NDSet)
     assert rec == e and e == rec and not rec != e and not e != rec
     other = ndset_points(Q(3))
     assert rec != other and other != rec
     assert rec != "not a set" and rec != None  # noqa: E711
     # the same set out of normal form: points unsorted, a tail term listed
     # as a point, the tail given with a dropped head
-    loose = Recorded({"points": ["3", "1/2", "-1"], "tails": [
+    loose = recorded({"points": ["3", "1/2", "-1"], "tails": [
         {"limit": "0", "coeff": "2", "ratio": "1/2", "headDrop": 1}]}, NDSet)
     assert loose == e and e == loose and loose == rec and rec == loose
     for drop in (False, 0.0, -1):
-        bad = Recorded({"points": [], "tails": [
+        bad = recorded({"points": [], "tails": [
             {"limit": "0", "coeff": "1", "ratio": "1/2", "headDrop": drop}]},
             NDSet)
         with pytest.raises(SerializationError):
@@ -155,18 +169,18 @@ def test_recorded_set_against_a_set_with_no_text():
     # a rational of more than 4300 digits has no str(); the record is
     # compared by decoding it instead
     huge = NDSet([Q(1, 3 ** 9100), Q(1)], [])
-    rec = Recorded({"points": ["1"], "tails": []}, NDSet)
+    rec = recorded({"points": ["1"], "tails": []}, NDSet)
     assert rec != huge and huge != rec
-    assert Recorded({"points": ["1", "1/3"], "tails": []}, NDSet) != huge
+    assert recorded({"points": ["1", "1/3"], "tails": []}, NDSet) != huge
 
 
 def test_read_trace_gives_the_same_witness_subgroup():
     stream = EStream([NDSet([Q(1, 3)], [GeomTail(0, 1, Q(1, 2))]),
                       ndset_points(Q(-2), Q(5)), ndset_points(Q(7, 2))])
     trace = run_shift_construction(stream, 3)
-    parsed = trace_from_obj(trace_to_obj(trace, stream))[0]
-    assert isinstance(parsed.steps[0].shifted, Recorded)
-    assert witness_subgroup(parsed) == witness_subgroup(trace)
+    for parsed, _, _ in read_both_ways(trace_text(trace, "")):
+        assert witness_subgroup(parsed) == witness_subgroup(trace)
+        assert isinstance(parsed.steps[0].shifted, serial.Recorded)
     assert not witness_subgroup(trace).is_empty
 
 
@@ -205,9 +219,12 @@ def test_trace_text_is_the_dict_encoding():
         trace = run_shift_construction(stream, steps)
         text = trace_text(trace, stream_hash(stream))
         assert text == canon_dumps(trace_to_obj(trace, stream)) + "\n"
-        # a trace read back holds undecoded records, and writes the same
-        parsed = trace_from_obj(json.loads(text))[0]
-        assert trace_text(parsed, stream_hash(stream)) == text
+        # a trace read back holds undecoded records, and writes the same;
+        # both readers read the same trace
+        reads = read_both_ways(text)
+        for parsed, _, _ in reads:
+            assert trace_text(parsed, stream_hash(stream)) == text
+        assert reads[0] == reads[1]
         sigmas = [st.sigma_next for st in trace.steps]
         same = [b is a for a, b in zip(sigmas, sigmas[1:])]
         kept += sum(same)
@@ -238,17 +255,17 @@ def test_trace_with_no_text_form_is_refused_by_both_writers():
 
 # -- record comparison against the canonical-text rule ------------------------
 
-def text_rule_eq(rec, value):
-    """``rec == value`` by the canonical-text rule: equal when the record's
-    canonical text is that of the value's encoding, else decode and
-    compare."""
-    read, write = ((ndset_from_obj, ndset_to_obj) if rec.kind is NDSet
+def text_rule_eq(raw, kind, value):
+    """``recorded(raw, kind) == value`` by the canonical-text rule: equal
+    when the record's canonical text is that of the value's encoding, else
+    decode and compare."""
+    read, write = ((ndset_from_obj, ndset_to_obj) if kind is NDSet
                    else (plmap_from_obj, plmap_to_obj))
     try:
-        same = canon_dumps(write(value)) == canon_dumps(rec.raw)
+        same = canon_dumps(write(value)) == canon_dumps(raw)
     except ValueError:
         same = False
-    return same or read(rec.raw) == value
+    return same or read(raw) == value
 
 
 def _verdict(compare):
@@ -297,19 +314,23 @@ def test_record_comparison_matches_the_canonical_text_rule():
     seen = {}  # label -> verdicts met
     for stream, steps in writer_cases():
         trace = run_shift_construction(stream, steps)
-        parsed = trace_from_obj(json.loads(trace_text(trace, "")))[0]
-        for k, (st, rd) in enumerate(zip(trace.steps, parsed.steps)):
+        obj = json.loads(trace_text(trace, ""))
+        parsed = trace_from_obj(obj)[0]
+        for k, (st, rd, ro) in enumerate(zip(trace.steps, parsed.steps,
+                                             obj["steps"])):
             other = trace.steps[k - 1]
-            for rec, value, unequal, long in (
+            for rec, value, unequal, long, intact in (
                     (rd.shifted, st.shifted, other.shifted,
-                     NDSet([huge, *st.shifted.points], st.shifted.tails)),
+                     NDSet([huge, *st.shifted.points], st.shifted.tails),
+                     ro["shifted"]),
                     (rd.sigma_next, st.sigma_next, other.sigma_next,
-                     PLMap([(Q(-1), Q(-1)), (Q(0), huge)]))):
-                variants = [("intact", rec.raw), *_hostile(rec.raw)]
+                     PLMap([(Q(-1), Q(-1)), (Q(0), huge)]),
+                     ro["sigma_next"])):
+                variants = [("intact", intact), *_hostile(intact)]
                 for label, raw in variants:
-                    r = Recorded(raw, rec.kind)
+                    r = recorded(raw, rec.kind)
                     for v in (value, unequal, long):
-                        want = _verdict(lambda: text_rule_eq(r, v))
+                        want = _verdict(lambda: text_rule_eq(raw, r.kind, v))
                         assert _verdict(lambda: r == v) == want, (label, k)
                         assert _verdict(lambda: v == r) == want, (label, k)
                         seen.setdefault(label, set()).add(
