@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap, invert_squeezes, squeeze_map
-from .rationals import (Interval, Q, QshiftError, describe_rat, rat_str,
-                        simplest_between)
+from .rationals import (Frozen, Interval, Q, QshiftError, Record, Value,
+                        describe_rat, rat_str, simplest_between)
 from .reporting import Report
 
 if TYPE_CHECKING:
@@ -90,19 +89,19 @@ def pair_index(i: int, j: int) -> int:
 
 # -- streams ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, eq=False)
-class EStream:
+class EStream(Frozen, Record):
     """Increasing chain of nowhere-dense sets, presented as increments.
 
     Level n is the union of the first n+1 increments; past the last
     increment the chain stays constant (further increments are empty).
+    ``_levels`` caches the levels built so far.
     """
 
-    increments: Sequence[NDSet]
-    _levels: List[NDSet] = field(default_factory=list, init=False, repr=False)
+    __slots__ = ("increments", "_levels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "increments", tuple(self.increments))
+    def __init__(self, increments: Sequence[NDSet]):
+        object.__setattr__(self, "increments", tuple(increments))
+        object.__setattr__(self, "_levels", [])
 
     def __len__(self):
         return len(self.increments)
@@ -250,28 +249,29 @@ def _evacuate_merged(c_fix: NDSet, c_move: NDSet,
 
 # -- the recursion ------------------------------------------------------------
 
-@dataclass(slots=True)
-class ShiftStep:
+class ShiftStep(Value):
     # ``sigma_next`` and ``shifted`` are a PLMap and an NDSet, or records
     # read from a trace file (serial.Recorded): JSON text that compares
     # equal to the value it encodes, and decodes to it
-    n: int
-    interval: Interval
-    gap: Interval
-    pi: PLMap
-    sigma_next: Union[PLMap, Recorded]
-    shifted: Union[NDSet, Recorded]
+    __slots__ = ("n", "interval", "gap", "pi", "sigma_next", "shifted")
+    __hash__ = None  # mutable
+
+    def __init__(self, n: int, interval: Interval, gap: Interval, pi: PLMap,
+                 sigma_next: Union[PLMap, Recorded],
+                 shifted: Union[NDSet, Recorded]):
+        self.n, self.interval, self.gap, self.pi = n, interval, gap, pi
+        self.sigma_next, self.shifted = sigma_next, shifted
 
     def __repr__(self):
         return f"ShiftStep(n={self.n}, J={self.gap!r})"
 
 
-@dataclass(slots=True)
-class ShiftTrace:
-    steps: Sequence[ShiftStep]
+class ShiftTrace(Value):
+    __slots__ = ("steps",)
+    __hash__ = None  # mutable
 
-    def __post_init__(self):
-        self.steps = tuple(self.steps)
+    def __init__(self, steps: Sequence[ShiftStep]):
+        self.steps = tuple(steps)
 
     def __len__(self):
         return len(self.steps)

@@ -14,10 +14,10 @@ from typing import Iterable
 
 from .ndsets import NDSet
 from .plmaps import PLMap
-from .rationals import rat, rat_str
+from .rationals import Frozen, rat, rat_str
 
 
-class HFAValue:
+class HFAValue(Frozen):
     __slots__ = ("_key",)
 
     def __eq__(self, other):
@@ -34,9 +34,6 @@ class Atom(HFAValue):
         value = rat(value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_key", (0, value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Atom is immutable")
 
     def __repr__(self):
         return f"Atom({rat_str(self.value)})"
@@ -55,9 +52,6 @@ class SetNode(HFAValue):
         object.__setattr__(self, "elements", ordered)
         object.__setattr__(self, "_key", (1, tuple(e._key for e in ordered)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SetNode is immutable")
-
     def __repr__(self):
         return "SetNode({" + ", ".join(map(repr, self.elements)) + "})"
 
@@ -72,9 +66,6 @@ class SeqNode(HFAValue):
                 raise TypeError("sequence items must be HFA values")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_key", (2, tuple(e._key for e in items)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeqNode is immutable")
 
     def __repr__(self):
         return "SeqNode([" + ", ".join(map(repr, self.items)) + "])"

@@ -17,8 +17,8 @@ from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .plmaps import PLMap
-from .rationals import (_MAX_DIGITS, Interval, LimitError, Q, rat, rat_str,
-                        simplest_between)
+from .rationals import (_MAX_DIGITS, Frozen, Interval, LimitError, Q, rat,
+                        rat_str, simplest_between)
 
 
 _TOO_LONG = 10 ** _MAX_DIGITS  # the least denominator with more digits
@@ -95,7 +95,7 @@ def _common_root(u: Q, v: Q) -> Optional[Q]:
     return Q(un, ud) if un == vn else None
 
 
-class GeomTail:
+class GeomTail(Frozen):
     """Geometric term sequence limit + coeff * ratio**k, k >= 0.
 
     A nonzero head_drop passed to the constructor is folded into the
@@ -133,9 +133,6 @@ class GeomTail:
         object.__setattr__(self, "lo", min(limit, head))
         object.__setattr__(self, "hi", max(limit, head))
         object.__setattr__(self, "prev", limit + coeff / ratio)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeomTail is immutable")
 
     def _key(self):
         return (self.limit, self.coeff, self.ratio)
@@ -307,7 +304,7 @@ def _extend_through(t: GeomTail, mine: "NDSet", theirs: "NDSet") -> GeomTail:
     return GeomTail(t.limit, coeff, t.ratio)
 
 
-class NDSet:
+class NDSet(Frozen):
     """Finite points plus geometric tails, in a normalized presentation.
 
     The points are sorted and none lies on a tail; the tails are sorted,
@@ -361,9 +358,6 @@ class NDSet:
         object.__setattr__(out, "points", points)
         object.__setattr__(out, "tails", tails)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NDSet is immutable")
 
     def _key(self):
         return (self.points, tuple(t._key() for t in self.tails))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .rationals import Interval, Q, rat, rat_str
+from .rationals import Frozen, Interval, Q, rat, rat_str
 
 BreakpointList = Tuple[Tuple[Q, Q], ...]
 
@@ -43,7 +43,7 @@ def _canonicalize(bps, left_slope, right_slope):
             (left_slope,) + tuple(slopes[i + 1] for i in kept))
 
 
-class PLMap:
+class PLMap(Frozen):
     __slots__ = ("breakpoints", "left_slope", "right_slope", "_xs", "_ys",
                  "_slopes")
 
@@ -77,9 +77,6 @@ class PLMap:
         ``_slopes``.  Internal results only; input from outside goes
         through ``PLMap(...)``."""
         return object.__new__(PLMap)._fill(xs, ys, slopes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLMap is immutable")
 
     # -- factories ---------------------------------------------------
 

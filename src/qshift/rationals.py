@@ -137,7 +137,52 @@ def simplest_between(lo: Q, hi: Q, include_lo: bool = False,
         include_lo, include_hi = include_hi, include_lo
 
 
-class Interval:
+class Frozen:
+    """Base of the immutable classes: each constructor writes its slots
+    with ``object.__setattr__``, and assigning or deleting raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+
+class Record:
+    """Base of the plain records: printed as ``Name(field=value, ...)``
+    over their slots, leaving out those named with a leading underscore
+    (caches), as a dataclass prints its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Value(Record):
+    """A record equal to one of its own class with equal fields, and
+    hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Interval(Frozen):
     """Open interval of rationals; either endpoint may be infinite (None)."""
 
     __slots__ = ("lower", "upper")
@@ -149,9 +194,6 @@ class Interval:
             raise ValueError(f"empty interval ({rat_str(lo)}, {rat_str(hi)})")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Interval)

@@ -20,26 +20,30 @@ row's dict, without building the dict.  Every check is exact; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     TextIO, Tuple, Union)
 
+from .rationals import Frozen, Value
+
 # (name, ok, index, detail)
 Row = Tuple[str, bool, Optional[int], str]
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
-    name: str
-    ok: bool
-    index: Optional[int] = None
-    detail: str = ""
+class Check(Frozen, Value):
+    __slots__ = ("name", "ok", "index", "detail")
+
+    def __init__(self, name: str, ok: bool, index: Optional[int] = None,
+                 detail: str = ""):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "ok", ok)
+        put(self, "index", index)
+        put(self, "detail", detail)
 
 
-@dataclass(frozen=True, slots=True)
-class Grid:
+class Grid(Frozen, Value):
     """Check ``name`` on every cell (m, k) for m < ``sets`` and k <
     ``len(labels)``, as rows in m-major order.
 
@@ -48,10 +52,15 @@ class Grid:
     ``(name, False, m, detail)``.
     """
 
-    name: str
-    sets: int
-    labels: Tuple[str, ...]
-    failing: Tuple[Tuple[int, int, str], ...]
+    __slots__ = ("name", "sets", "labels", "failing")
+
+    def __init__(self, name: str, sets: int, labels: Tuple[str, ...],
+                 failing: Tuple[Tuple[int, int, str], ...]):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "sets", sets)
+        put(self, "labels", labels)
+        put(self, "failing", failing)
 
     def rows(self) -> Iterator[Row]:
         hits = {(m, k): detail for m, k, detail in self.failing}

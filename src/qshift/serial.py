@@ -323,8 +323,8 @@ class Recorded:
     compares equal, a malformed record raises SerializationError, and a
     text that is not JSON raises ``TextMismatch``."""
 
-    # a plain class: every command imports this module, and building a
-    # dataclass costs about 0.25 ms
+    # a plain slotted class, like every record in the package, so that
+    # no command imports ``dataclasses``
     __slots__ = ("text", "start", "end", "kind", "texts")
 
     def __init__(self, text: str, start: int, end: int, kind: type,

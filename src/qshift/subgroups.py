@@ -10,24 +10,24 @@ is ever attempted; ``member`` on the terms as written is the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .hfa import HFAValue, atoms_support, in_sym
 from .ndsets import EMPTY_NDSET, NDSet, fix_violation
 from .plmaps import PLMap
-from .rationals import Q, describe_rat
+from .rationals import Frozen, Q, Record, Value, describe_rat
 from .reporting import Report
 
 
 # -- terms ---------------------------------------------------------------
 
-class SubgroupTerm:
+class SubgroupTerm(Frozen, Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class _FullGroup(SubgroupTerm):
+    __slots__ = ()
+
     def __repr__(self):
         return "FullGroup"
 
@@ -35,29 +35,34 @@ class _FullGroup(SubgroupTerm):
 FULL_GROUP = _FullGroup()
 
 
-@dataclass(frozen=True, slots=True)
 class Fix(SubgroupTerm):
     """Pointwise stabilizer of a nowhere-dense set of atoms."""
 
-    support: NDSet
+    __slots__ = ("support",)
+
+    def __init__(self, support: NDSet):
+        object.__setattr__(self, "support", support)
 
 
-@dataclass(frozen=True, slots=True)
 class Stab(SubgroupTerm):
     """Setwise stabilizer of a hereditarily finite value."""
 
-    obj: HFAValue
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: HFAValue):
+        object.__setattr__(self, "obj", obj)
 
 
-@dataclass(frozen=True, slots=True)
 class Conj(SubgroupTerm):
     """Conjugate subgroup: by . inner . by^-1."""
 
-    by: PLMap
-    inner: SubgroupTerm
-    # by^-1, computed on first use by ``by_inverse``
-    _by_inverse: Optional[PLMap] = field(default=None, init=False,
-                                         repr=False, compare=False)
+    # _by_inverse is by^-1, computed on first use by ``by_inverse``
+    __slots__ = ("by", "inner", "_by_inverse")
+
+    def __init__(self, by: PLMap, inner: SubgroupTerm):
+        object.__setattr__(self, "by", by)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "_by_inverse", None)
 
     def by_inverse(self) -> PLMap:
         if self._by_inverse is None:
@@ -65,12 +70,11 @@ class Conj(SubgroupTerm):
         return self._by_inverse
 
 
-@dataclass(frozen=True, slots=True)
 class Inter(SubgroupTerm):
-    parts: Sequence[SubgroupTerm]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: Sequence[SubgroupTerm]):
+        object.__setattr__(self, "parts", tuple(parts))
 
 
 # -- membership ----------------------------------------------------------
@@ -136,20 +140,19 @@ def fix_leq(support: NDSet, other: NDSet) -> Optional[Q]:
 
 # -- shifted-sequence witness checking --------------------------------------
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ShiftProblem:
+class ShiftProblem(Frozen, Record):
     """A decreasing subgroup sequence, a map sequence to check against it,
     and a declared generator for the intersection."""
 
-    groups: Sequence[SubgroupTerm]
-    witness: Sequence[PLMap]
-    candidate: NDSet
+    __slots__ = ("groups", "witness", "candidate")
 
-    def __post_init__(self):
-        if len(self.witness) > len(self.groups):
+    def __init__(self, groups: Sequence[SubgroupTerm],
+                 witness: Sequence[PLMap], candidate: NDSet):
+        if len(witness) > len(groups):
             raise ValueError("more witness maps than groups")
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "witness", tuple(self.witness))
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "witness", tuple(witness))
+        object.__setattr__(self, "candidate", candidate)
 
 
 def shifted_groups(groups: Sequence[SubgroupTerm],

@@ -13,14 +13,13 @@ constructed explicitly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .construction import EStream
 from .hfa import Atom, HFAValue, SeqNode, act, atoms_support
 from .ndsets import EMPTY_NDSET, NDSet
 from .plmaps import PLMap
-from .rationals import Q, QshiftError
+from .rationals import Frozen, Q, QshiftError, Record
 from .reporting import Report
 from .subgroups import (Conj, Fix, Inter, Stab, SubgroupTerm, add_fix_leq,
                         check_decreasing, member, normalize, shifted_groups)
@@ -81,17 +80,17 @@ def order_iso_fixing(support: NDSet,
 
 # -- tree instances -----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TreeInstance:
+class TreeInstance(Frozen, Record):
     """Orbit tree of atom-sequence prefixes under Fix(base_support)."""
 
-    base: Sequence[HFAValue]
-    base_support: NDSet
+    __slots__ = ("base", "base_support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        if not all(isinstance(x, Atom) for x in self.base):
+    def __init__(self, base: Sequence[HFAValue], base_support: NDSet):
+        base = tuple(base)
+        if not all(isinstance(x, Atom) for x in base):
             raise ValueError("demo tree instances take atom sequences")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base_support", base_support)
 
     def prefix(self, n: int) -> SeqNode:
         if n > len(self.base):
@@ -177,21 +176,19 @@ def branch_from_shifts(inst: TreeInstance, s: Sequence[SeqNode],
 
 # -- direction: a branch to shifted maps ---------------------------------------
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BranchCertificate:
+class BranchCertificate(Frozen, Record):
     """Base values, a claimed branch over them, and maps carrying each
     base prefix onto the branch prefix of the same length."""
 
-    x: Sequence[HFAValue]
-    t: Sequence[HFAValue]
-    tau: Sequence[PLMap]
+    __slots__ = ("x", "t", "tau")
 
-    def __post_init__(self):
-        if not (len(self.x) == len(self.t) == len(self.tau)):
+    def __init__(self, x: Sequence[HFAValue], t: Sequence[HFAValue],
+                 tau: Sequence[PLMap]):
+        if not (len(x) == len(t) == len(tau)):
             raise ValueError("certificate components must have equal length")
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "t", tuple(self.t))
-        object.__setattr__(self, "tau", tuple(self.tau))
+        object.__setattr__(self, "x", tuple(x))
+        object.__setattr__(self, "t", tuple(t))
+        object.__setattr__(self, "tau", tuple(tau))
 
     def __len__(self):
         return len(self.x)

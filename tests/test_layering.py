@@ -1,12 +1,20 @@
-"""The package's modules import one another down a fixed order only, and
-its errors reach the command line through one handler."""
+"""The package's modules import one another down a fixed order only, its
+errors reach the command line through one handler, and its immutable
+classes share one guard, so a cold start needs no ``dataclasses``."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import qshift
-from qshift.rationals import QshiftError
+from qshift.hfa import Atom, SeqNode, SetNode
+from qshift.ndsets import GeomTail, NDSet
+from qshift.plmaps import PLMap
+from qshift.rationals import Interval, QshiftError
 
 # lowest first; the kernel package ``_qarith`` sits below all of them, and
 # ``__init__`` (which re-exports everything) is exempt
@@ -68,17 +76,50 @@ def test_subgroups_reexports_the_ndsets_fix_test():
     assert construction.fix_violation is ndsets.fix_violation
 
 
-def test_only_the_normalizing_value_classes_guard_setattr():
-    # the classes whose constructors normalize on hot paths write their
-    # own slots and immutability guard; every other record is a dataclass
-    guarded = {node.name
-               for path in PACKAGE.glob("*.py")
+def test_one_base_class_guards_setattr():
+    # the value classes and the frozen records write their slots with
+    # object.__setattr__ and inherit a single immutability guard
+    guarded = {f"{path.stem}.{node.name}"
+               for path in PACKAGE.rglob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)
                and any(isinstance(item, ast.FunctionDef)
                        and item.name == "__setattr__" for item in node.body)}
-    assert guarded == {"GeomTail", "NDSet", "PLMap", "Interval", "Atom",
-                       "SetNode", "SeqNode"}
+    assert guarded == {"rationals.Frozen"}
+
+
+def test_the_value_classes_keep_their_immutability_messages():
+    values = [Interval(0, 1), PLMap.identity(), GeomTail(0, 1, "1/2"),
+              NDSet([1]), Atom(1), SetNode([Atom(1)]), SeqNode([Atom(1)])]
+    for value in values:
+        name = type(value).__name__
+        for attempt in (lambda: setattr(value, "x", 1),
+                        lambda: delattr(value, value.__slots__[0])):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                attempt()
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in PACKAGE.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_a_cold_start_does_not_load_dataclasses():
+    # -I: no site packages, no PYTHON* variables, so only the stdlib and
+    # this checkout are on the path
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import qshift, qshift.cli, qshift.properties\n"
+            "print('dataclasses' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_cli_main_maps_every_refusal_in_one_handler():
